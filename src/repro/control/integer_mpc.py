@@ -18,7 +18,7 @@ by unit tests here at the loop level.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
 
 from repro.control.mpc import MPCController, MPCStep
 from repro.core.integer import round_repair
@@ -35,20 +35,15 @@ class IntegerMPCController(MPCController):
     plan's starting point) is the integer state.
     """
 
-    def step(
-        self,
-        observed_demand: np.ndarray,
-        observed_prices: np.ndarray,
-        horizon: int | None = None,
-    ) -> MPCStep:
-        """Run one period of Algorithm 1, then integrize the applied state.
+    def plan(self, *args: Any, **kwargs: Any) -> MPCStep:
+        """Plan as :meth:`MPCController.plan`, then integrize the applied state.
 
         Returns:
             An :class:`MPCStep` whose ``new_state`` is integral and whose
             ``applied_control`` is the *realized* (integer) move.
         """
         previous_state = self._state.copy()
-        step = super().step(observed_demand, observed_prices, horizon=horizon)
+        step = super().plan(*args, **kwargs)
 
         # Integrize against the demand the plan was built for.
         planned_demand = step.predicted_demand[:, :1]  # (V, 1)

@@ -194,8 +194,6 @@ class MPCController:
         self._state = instance.initial_state.copy()
         self._period = 0
         self._last_qp: QPSolution | None = None
-        # Created lazily on the first step so ``config`` may still be
-        # swapped (e.g. by the simulation engine) after construction.
         self._workspace: DSPPWorkspace | None = None
         # Last finite value seen per series (the carry-forward source) and
         # the imputation masks of the most recent observe(), consumed by
@@ -209,6 +207,12 @@ class MPCController:
     def state(self) -> np.ndarray:
         """Current allocation ``x_k``, shape ``(L, V)`` (copy)."""
         return self._state.copy()
+
+    @state.setter
+    def state(self, state: np.ndarray) -> None:
+        """Overwrite ``x_k`` only (e.g. servers lost to a failure); unlike
+        :meth:`reset`, predictors and solver state carry on."""
+        self._state = np.asarray(state, dtype=float).copy()
 
     @property
     def period(self) -> int:

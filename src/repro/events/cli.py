@@ -215,15 +215,9 @@ def run_events(args: argparse.Namespace) -> int:
         LastValuePredictor(instance.num_datacenters),
         MPCConfig(window=3, slack_penalty=100.0),
     )
-    if outages:
-        closed_loop = run_closed_loop_with_failures(
-            controller, scenario.demand, scenario.prices, outages
-        )
-        states = closed_loop.trajectory.states
-    else:
-        from repro.simulation.engine import SimulationEngine
-
-        states = SimulationEngine(scenario, controller).run().states
+    states = run_closed_loop_with_failures(
+        controller, scenario.demand, scenario.prices, outages
+    ).trajectory.states
 
     calibration = CalibrationCollector()
     latency = LatencyCollector()

@@ -1,8 +1,11 @@
 """The discrete-event replay engine: requests vs the fluid placement.
 
-:class:`EventEngine` replays individual requests against the placement
-trajectory produced by :class:`~repro.simulation.engine.SimulationEngine`
-(or :func:`~repro.simulation.failures.run_closed_loop_with_failures`).
+:class:`EventEngine` replays individual requests against a placement
+trajectory from the closed-loop period kernel
+(:class:`~repro.control.loop.ClosedLoop`, through any of its callers:
+:class:`~repro.simulation.engine.SimulationEngine`, the resident service,
+or :func:`~repro.simulation.failures.run_closed_loop_with_failures` when
+outages are scheduled).
 Period ``p`` of the scenario is served by the controller's allocation
 ``states[p - 1]`` — exactly the column alignment of the fluid loop — and
 the placement switches at period boundaries, with each period's queues

@@ -1,9 +1,10 @@
 """The resident placement service: a supervised, restartable control loop.
 
-:class:`PlacementService` runs the same four-component loop as
-:class:`repro.simulation.engine.SimulationEngine` (monitoring →
-controller → router → metrics) but wraps every period in three
-robustness layers:
+:class:`PlacementService` runs the same period kernel as
+:class:`repro.simulation.engine.SimulationEngine` —
+:class:`repro.control.loop.ClosedLoop` with its routed part (monitoring →
+controller → router → metrics) — with the degradation ladder as the
+kernel's plan hook, and wraps every period in three robustness layers:
 
 1. **Checkpoint/restore** — at configurable period boundaries the full
    controller state (workspace caches, predictor histories, router
@@ -33,17 +34,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon
+from repro.control.loop import ClosedLoop
 from repro.control.mpc import MPCConfig, MPCController, MPCStep
 from repro.core.dspp import DSPPInfeasibleError
 from repro.prediction.ar import ARPredictor
 from repro.prediction.naive import LastValuePredictor
-from repro.routing.router import RequestRouter, RoutingDecision
+from repro.routing.router import RoutingDecision
 from repro.service.checkpoint import load_latest, write_checkpoint
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.ladder import LADDER_RUNGS, DegradationLog, LadderConfig
-from repro.simulation.metrics import MetricsCollector, RunSummary
-from repro.simulation.monitoring import MonitoringModule
+from repro.simulation.engine import RoutedPart, SimulationResult
 from repro.simulation.scenario import Scenario
 from repro.solvers.qp import QPSettings, QPStatus
 
@@ -110,25 +110,16 @@ class ServiceConfig:
 
 
 @dataclass(frozen=True)
-class ServiceResult:
-    """Everything a completed service run produced.
+class ServiceResult(SimulationResult):
+    """Everything a completed service run produced: the engine's result
+    plus the service's degradation record.
 
     Attributes:
-        summary: aggregated metrics (same schema as the batch engine).
-        states: realized allocations, shape ``(K-1, L, V)``.
-        controls: applied moves, shape ``(K-1, L, V)``.
-        routing: per-period routing decisions.
-        monitoring: the filled monitoring module.
         terminal_rungs: the ladder rung each period terminated at
             (``"warm"`` everywhere on a fault-free run).
         log: the structured degradation log.
     """
 
-    summary: RunSummary
-    states: np.ndarray
-    controls: np.ndarray
-    routing: tuple[RoutingDecision, ...]
-    monitoring: MonitoringModule
     terminal_rungs: tuple[str, ...]
     log: DegradationLog
 
@@ -178,25 +169,26 @@ class PlacementService:
                 imputation=self.config.imputation,
             ),
         )
-        self.monitoring = MonitoringModule(
-            num_locations=instance.num_locations,
-            num_datacenters=instance.num_datacenters,
-        )
-        # The SLA policy works in seconds; the topology layer reports ms.
-        self.router = RequestRouter(
-            network_latency=scenario.latency.latency_ms * 1e-3,
-            demand_coefficients=instance.demand_coefficients,
-            service_rate=scenario.sla.service_rate,
-            max_latency=scenario.sla.max_latency,
-        )
-        self.metrics = MetricsCollector()
+        self.routed = RoutedPart.for_scenario(scenario)
         self.log = DegradationLog()
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
-        self._period = 0
-        self._states: list[np.ndarray] = []
-        self._controls: list[np.ndarray] = []
-        self._decisions: list[RoutingDecision] = []
         self._terminal_rungs: list[str] = []
+        self._loop = self._closed_loop([], [], [])
+
+    def _closed_loop(
+        self,
+        states: list[np.ndarray],
+        controls: list[np.ndarray],
+        decisions: list[RoutingDecision],
+    ) -> ClosedLoop:
+        loop = ClosedLoop(
+            self.controller,
+            self.scenario.demand,
+            self.scenario.prices,
+            routed=self.routed,
+        )
+        loop.states, loop.controls, loop.decisions = states, controls, decisions
+        return loop
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -204,7 +196,7 @@ class PlacementService:
     @property
     def period(self) -> int:
         """Zero-based index of the next period to run."""
-        return self._period
+        return self._loop.period
 
     @property
     def num_steps(self) -> int:
@@ -216,14 +208,14 @@ class PlacementService:
             "scenario": self.scenario,
             "config": self.config,
             "controller": self.controller,
-            "monitoring": self.monitoring,
-            "router": self.router,
-            "metrics": self.metrics,
+            "monitoring": self.routed.monitoring,
+            "router": self.routed.router,
+            "metrics": self.routed.metrics,
             "injector": self.injector,
-            "period": self._period,
-            "states": list(self._states),
-            "controls": list(self._controls),
-            "decisions": list(self._decisions),
+            "period": self.period,
+            "states": list(self._loop.states),
+            "controls": list(self._loop.controls),
+            "decisions": list(self._loop.decisions),
             "terminal_rungs": list(self._terminal_rungs),
             "log_events": self.log.events,
         }
@@ -238,7 +230,7 @@ class PlacementService:
             raise RuntimeError("service was created without a checkpoint_dir")
         path = write_checkpoint(
             self.checkpoint_dir,
-            self._period,
+            self.period,
             self._snapshot(),
             keep=self.config.keep_checkpoints,
         )
@@ -246,11 +238,11 @@ class PlacementService:
         # injector state saved *inside* it predates the damage, so a
         # restored run re-corrupts identically).
         if self.injector is not None and self.injector.corrupts_checkpoint(
-            self._period - 1
+            self.period - 1
         ):
             detail = self.injector.corrupt_file(path)
             self.log.record(
-                self._period - 1,
+                self.period - 1,
                 "service",
                 "checkpoint_corrupted",
                 f"{path.name}: {detail}",
@@ -274,28 +266,29 @@ class PlacementService:
         service.config = snapshot["config"]
         service.checkpoint_dir = Path(checkpoint_dir)
         service.controller = snapshot["controller"]
-        service.monitoring = snapshot["monitoring"]
-        service.router = snapshot["router"]
-        service.metrics = snapshot["metrics"]
+        service.routed = RoutedPart(
+            snapshot["monitoring"], snapshot["router"], snapshot["metrics"]
+        )
         service.injector = snapshot["injector"]
-        service._period = snapshot["period"]
-        service._states = list(snapshot["states"])
-        service._controls = list(snapshot["controls"])
-        service._decisions = list(snapshot["decisions"])
         service._terminal_rungs = list(snapshot["terminal_rungs"])
+        service._loop = service._closed_loop(
+            list(snapshot["states"]),
+            list(snapshot["controls"]),
+            list(snapshot["decisions"]),
+        )
         service.log = DegradationLog(snapshot["log_events"])
         for corrupt in skipped:
             service.log.record(
-                service._period,
+                service.period,
                 "service",
                 "checkpoint_fallback",
                 f"skipped corrupt generation {corrupt.name}",
             )
         service.log.record(
-            service._period,
+            service.period,
             "service",
             "restored",
-            f"resumed at period {service._period} from {path.name}",
+            f"resumed at period {service.period} from {path.name}",
         )
         return service
 
@@ -315,10 +308,9 @@ class PlacementService:
             ``None`` when stopped early by ``until``.
         """
         target = self.num_steps if until is None else min(until, self.num_steps)
-        while self._period < target:
-            k = self._period
-            self._run_period(k)
-            boundary = self._period
+        while self.period < target:
+            self._run_period(self.period)
+            boundary = self.period
             if self.checkpoint_dir is not None and (
                 boundary % self.config.checkpoint_interval == 0
                 or boundary == self.num_steps
@@ -326,58 +318,42 @@ class PlacementService:
                 self.checkpoint()
             if self.config.throttle_s > 0:
                 time.sleep(self.config.throttle_s)
-        if self._period >= self.num_steps:
+        if self.period >= self.num_steps:
             return self.result()
         return None
 
     def result(self) -> ServiceResult:
         """Assemble the result of the periods completed so far."""
-        instance = self.scenario.instance
-        L, V = instance.num_datacenters, instance.num_locations
-        states = (
-            np.stack(self._states)
-            if self._states
-            else np.empty((0, L, V))
-        )
-        controls = (
-            np.stack(self._controls)
-            if self._controls
-            else np.empty((0, L, V))
-        )
+        states, controls = self._loop.trajectory_arrays()
         return ServiceResult(
-            summary=self.metrics.summary(),
+            summary=self.routed.metrics.summary(),
             states=states,
             controls=controls,
-            routing=tuple(self._decisions),
-            monitoring=self.monitoring,
+            routing=tuple(self._loop.decisions),
+            monitoring=self.routed.monitoring,
             terminal_rungs=tuple(self._terminal_rungs),
             log=self.log,
         )
 
     def _run_period(self, k: int) -> None:
-        scenario = self.scenario
-        true_demand = scenario.demand[:, k]
-        true_prices = scenario.prices[:, k]
-        seen_demand, seen_prices = true_demand, true_prices
+        seen_demand = self.scenario.demand[:, k]
+        seen_prices = self.scenario.prices[:, k]
         if self.injector is not None:
             seen_demand, seen_prices, kinds = self.injector.perturb_observation(
-                k, true_demand, true_prices
+                k, seen_demand, seen_prices
             )
             for kind in kinds:
                 self.log.record(k, "service", "fault", kind)
-        observation = self.monitoring.record(seen_demand, seen_prices)
         try:
-            self.controller.observe(observation.demand, observation.prices)
+            step = self._loop.step(seen_demand, seen_prices, self._ladder_solve)
         except Exception as error:
-            # Strict-mode telemetry rejection (or carry-forward with no
-            # history) is a terminal service failure — record it before
+            # A terminal service failure (strict-mode telemetry rejection,
+            # carry-forward with no history, a bug): record it before
             # propagating so the operator sees *why* the loop stopped.
             self.log.record(
                 k, "service", "error", f"{type(error).__name__}: {error}"
             )
             raise
-        horizon = effective_horizon(self.config.window, k, self.num_steps)
-        step = self._ladder_solve(k, horizon)
         if step.imputed_demand is not None or step.imputed_prices is not None:
             repaired = int(
                 (0 if step.imputed_demand is None else step.imputed_demand.sum())
@@ -387,32 +363,15 @@ class PlacementService:
                 k, "service", "imputed", f"carried forward {repaired} entries"
             )
 
-        self._states.append(step.new_state)
-        self._controls.append(step.applied_control)
-
-        self.router.update_allocation(step.new_state)
-        decision = self.router.route(scenario.demand[:, k + 1])
-        self._decisions.append(decision)
-        self.metrics.record_period(
-            allocation=step.new_state,
-            control=step.applied_control,
-            prices=scenario.prices[:, k + 1],
-            recon_weights=scenario.instance.reconfiguration_weights,
-            assignment=decision.assignment,
-            latency=decision.latency,
-            unserved=float(decision.unserved.sum()),
-            sla_violated=not decision.all_sla_satisfied,
-        )
-        self._period = k + 1
-
     def _sparse_settings(self) -> QPSettings:
         base = self.config.qp_settings
         if base is None:
             base = QPSettings(early_polish=True)
         return replace(base, kkt_backend="sparse")
 
-    def _ladder_solve(self, k: int, horizon: int) -> MPCStep:
+    def _ladder_solve(self, horizon: int) -> MPCStep:
         """Descend the degradation ladder until a rung terminates."""
+        k = self.period
         cfg = self.config.ladder
         squeeze = 0 if self.injector is None else self.injector.squeeze_depth(k)
         start = time.monotonic() if cfg.deadline_s is not None else 0.0

@@ -7,8 +7,8 @@
   price observation streams).
 * :mod:`repro.simulation.metrics` — cost/latency/reconfiguration metric
   collection and summaries.
-* :mod:`repro.simulation.engine` — the full closed-loop engine with
-  request routers in the loop.
+* :mod:`repro.simulation.engine` — the full closed-loop engine: the
+  period kernel with monitoring, request routers and metrics in the loop.
 * :mod:`repro.simulation.queue_sim` — event-driven queue simulation that
   validates the analytical M/M/1 layer empirically.
 * :mod:`repro.simulation.failures` — data-center outage injection and the
@@ -18,7 +18,7 @@
 from repro.simulation.scenario import Scenario, build_paper_scenario, build_small_scenario
 from repro.simulation.monitoring import MonitoringModule, Observation
 from repro.simulation.metrics import MetricsCollector, RunSummary
-from repro.simulation.engine import SimulationEngine, SimulationResult
+from repro.simulation.engine import RoutedPart, SimulationEngine, SimulationResult
 from repro.simulation.failures import (
     OutageEvent,
     capacity_schedule,
@@ -43,6 +43,7 @@ __all__ = [
     "Observation",
     "MetricsCollector",
     "RunSummary",
+    "RoutedPart",
     "SimulationEngine",
     "SimulationResult",
     "OutageEvent",

@@ -7,25 +7,60 @@ allocation to the request router, which (4) splits the *next* period's
 realized demand and reports latency/SLA outcomes, all of which feed the
 metrics collector.
 
-This is the architecture-faithful superset of
-:func:`repro.control.loop.run_closed_loop` (which skips routing); the two
-agree on costs, which an integration test pins down.
+Steps (1), (3) and (4) are the :class:`RoutedPart`; the engine is the
+period kernel :class:`repro.control.loop.ClosedLoop` run with it.  The
+router never feeds back into control, so the engine's states are exactly
+those of :func:`repro.control.loop.run_closed_loop`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon
+from repro.control.loop import ClosedLoop
 from repro.control.mpc import MPCController
 from repro.routing.router import RequestRouter, RoutingDecision
 from repro.simulation.metrics import MetricsCollector, RunSummary
 from repro.simulation.monitoring import MonitoringModule
 from repro.simulation.scenario import Scenario
 
-__all__ = ["SimulationResult", "SimulationEngine"]
+__all__ = ["RoutedPart", "SimulationResult", "SimulationEngine"]
+
+
+@dataclass(frozen=True)
+class RoutedPart:
+    """Monitoring, request routers and metrics around the controller.
+
+    Attributes:
+        monitoring: records each period's observation.
+        router: splits realized demand over the allocation.
+        metrics: scores every routed period.
+    """
+
+    monitoring: MonitoringModule
+    router: RequestRouter
+    metrics: MetricsCollector
+
+    @classmethod
+    def for_scenario(cls, scenario: Scenario) -> RoutedPart:
+        """Fresh components for ``scenario``."""
+        instance = scenario.instance
+        return cls(
+            monitoring=MonitoringModule(
+                num_locations=instance.num_locations,
+                num_datacenters=instance.num_datacenters,
+            ),
+            # The SLA policy works in seconds; the topology layer reports ms.
+            router=RequestRouter(
+                network_latency=scenario.latency.latency_ms * 1e-3,
+                demand_coefficients=instance.demand_coefficients,
+                service_rate=scenario.sla.service_rate,
+                max_latency=scenario.sla.max_latency,
+            ),
+            metrics=MetricsCollector(),
+        )
 
 
 @dataclass(frozen=True)
@@ -54,23 +89,9 @@ class SimulationEngine:
         scenario: the setting to run (realized demand/prices inside).
         controller: an MPC controller built over ``scenario.instance``
             (its predictors define the analysis-and-prediction module).
-        reuse_workspace: optional override of the controller's
-            ``config.reuse_workspace`` flag for this run (``None`` leaves
-            the controller's own setting untouched).  Enabling it lets the
-            per-period DSPP solves share one cached factorization; the
-            shrinking end-of-run horizons trigger transparent rebuilds.
-        kkt_backend: optional override of the controller's
-            ``config.kkt_backend`` for this run (``"auto"``, ``"sparse"``
-            or ``"banded"``; ``None`` leaves the controller untouched).
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        controller: MPCController,
-        reuse_workspace: bool | None = None,
-        kkt_backend: str | None = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario, controller: MPCController) -> None:
         instance = scenario.instance
         if controller.instance.datacenters != instance.datacenters:
             raise ValueError("controller and scenario disagree on data centers")
@@ -78,30 +99,7 @@ class SimulationEngine:
             raise ValueError("controller and scenario disagree on locations")
         self.scenario = scenario
         self.controller = controller
-        if (
-            reuse_workspace is not None
-            and reuse_workspace != controller.config.reuse_workspace
-        ):
-            controller.config = replace(
-                controller.config, reuse_workspace=reuse_workspace
-            )
-        if (
-            kkt_backend is not None
-            and kkt_backend != controller.config.kkt_backend
-        ):
-            controller.config = replace(controller.config, kkt_backend=kkt_backend)
-        self.monitoring = MonitoringModule(
-            num_locations=instance.num_locations,
-            num_datacenters=instance.num_datacenters,
-        )
-        # The SLA policy works in seconds; the topology layer reports ms.
-        self.router = RequestRouter(
-            network_latency=scenario.latency.latency_ms * 1e-3,
-            demand_coefficients=instance.demand_coefficients,
-            service_rate=scenario.sla.service_rate,
-            max_latency=scenario.sla.max_latency,
-        )
-        self.metrics = MetricsCollector()
+        self.routed = RoutedPart.for_scenario(scenario)
 
     def run(self) -> SimulationResult:
         """Run the whole scenario horizon.
@@ -109,48 +107,18 @@ class SimulationEngine:
         Returns:
             The :class:`SimulationResult`.
         """
-        demand = self.scenario.demand
-        prices = self.scenario.prices
-        K = self.scenario.num_periods
-        num_steps = K - 1
-        instance = self.controller.instance
-        L, V = instance.num_datacenters, instance.num_locations
-
-        states = np.empty((num_steps, L, V))
-        controls = np.empty((num_steps, L, V))
-        decisions: list[RoutingDecision] = []
-
-        for k in range(num_steps):
-            self.monitoring.record(demand[:, k], prices[:, k])
-            observation = self.monitoring.latest
-            horizon = effective_horizon(
-                self.controller.config.window, k, num_steps
-            )
-            step = self.controller.step(
-                observation.demand, observation.prices, horizon=horizon
-            )
-            states[k] = step.new_state
-            controls[k] = step.applied_control
-
-            self.router.update_allocation(step.new_state)
-            decision = self.router.route(demand[:, k + 1])
-            decisions.append(decision)
-
-            self.metrics.record_period(
-                allocation=step.new_state,
-                control=step.applied_control,
-                prices=prices[:, k + 1],
-                recon_weights=instance.reconfiguration_weights,
-                assignment=decision.assignment,
-                latency=decision.latency,
-                unserved=float(decision.unserved.sum()),
-                sla_violated=not decision.all_sla_satisfied,
-            )
-
+        loop = ClosedLoop(
+            self.controller,
+            self.scenario.demand,
+            self.scenario.prices,
+            routed=self.routed,
+        )
+        loop.run()
+        states, controls = loop.trajectory_arrays()
         return SimulationResult(
-            summary=self.metrics.summary(),
+            summary=self.routed.metrics.summary(),
             states=states,
             controls=controls,
-            routing=tuple(decisions),
-            monitoring=self.monitoring,
+            routing=tuple(loop.decisions),
+            monitoring=self.routed.monitoring,
         )

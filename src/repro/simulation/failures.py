@@ -4,9 +4,11 @@ Section III lists "system failure" next to flash crowds as the
 unexpected events a dynamic controller must survive.  A failure here is a
 temporary capacity collapse at one data center: capacity drops to a
 fraction (0 = total outage) for a window of periods, then recovers.  The
-failure-aware closed loop feeds the controller the *current* capacity
-vector before each decision — the controller sees outages only as they
-happen (no failure prediction), exactly like a monitoring-driven system.
+failure-aware closed loop is the period kernel
+(:class:`repro.control.loop.ClosedLoop`) with a capacity schedule: it feeds
+the controller the *current* capacity vector before each decision — the
+controller sees outages only as they happen (no failure prediction),
+exactly like a monitoring-driven system.
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.horizon import effective_horizon
-from repro.control.loop import ClosedLoopResult
-from repro.control.mpc import MPCController, MPCStep
-from repro.core.costs import total_cost
-from repro.core.state import Trajectory
+from repro.control.loop import ClosedLoop, ClosedLoopResult
+from repro.control.mpc import MPCController
 
 __all__ = ["OutageEvent", "capacity_schedule", "run_closed_loop_with_failures"]
 
@@ -98,7 +97,10 @@ def run_closed_loop_with_failures(
     the schedule's current value — it re-plans against what is actually
     available, but has no advance warning.  Servers stranded at a failed
     site are evicted (state clamped to the surviving capacity) *before*
-    the controller plans, modelling the abrupt loss.
+    the controller plans, modelling the abrupt loss.  Nothing else is
+    reset: forecasts, warm starts and carry-forward imputation continue
+    across capacity changes.  With no outages this is exactly
+    :func:`~repro.control.loop.run_closed_loop`.
 
     The controller should run in elastic mode
     (:attr:`repro.control.mpc.MPCConfig.slack_penalty`): during a large
@@ -112,67 +114,16 @@ def run_closed_loop_with_failures(
 
     Returns:
         A :class:`~repro.control.loop.ClosedLoopResult`; unmet demand now
-        includes outage-induced shortfall.
+        includes outage-induced shortfall; controls are the realized moves,
+        evictions included.
     """
-    demand = np.asarray(demand, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    instance = controller.instance
-    V, L = instance.num_locations, instance.num_datacenters
-    if demand.ndim != 2 or demand.shape[0] != V:
-        raise ValueError(f"demand must be ({V}, K), got {demand.shape}")
-    K = demand.shape[1]
-    if prices.shape != (L, K):
-        raise ValueError(f"prices must be ({L}, {K}), got {prices.shape}")
-    num_steps = K - 1
-    schedule = capacity_schedule(instance.capacities, K, outages)
-
-    initial_state = controller.state
-    coeff = instance.demand_coefficients
-    size = instance.server_size
-    states = np.empty((num_steps, L, V))
-    controls = np.empty((num_steps, L, V))
-    unmet = np.zeros((num_steps, V))
-    steps: list[MPCStep] = []
-
-    for k in range(num_steps):
-        # The capacity that will hold during the period being planned (k+1).
+    schedule = None
+    if outages:
+        K = np.shape(demand)[-1]
         # A full outage is modelled as an epsilon capacity: the instance
         # requires positive capacities, and epsilon admits no real server.
-        current_capacity = np.maximum(schedule[k + 1], 1e-9)
-        controller.set_capacities(current_capacity)
-        # Evict stranded servers before planning: a failed site cannot
-        # carry yesterday's allocation into the plan's initial state.
-        state = controller.state
-        for l in range(L):
-            used = size * state[l].sum()
-            if used > current_capacity[l] + 1e-9:
-                scale = current_capacity[l] / used if used > 0 else 0.0
-                state[l] *= scale
-        controller.reset(state)  # type: ignore[arg-type]
-        # reset() clears predictors; refeed the observation history so the
-        # forecasts survive the capacity change.
-        controller.demand_predictor.observe_history(demand[:, :k])
-        controller.price_predictor.observe_history(prices[:, :k])
-
-        horizon = effective_horizon(controller.config.window, k, num_steps)
-        step = controller.step(demand[:, k], prices[:, k], horizon=horizon)
-        steps.append(step)
-        states[k] = step.new_state
-        controls[k] = states[k] - (initial_state if k == 0 else states[k - 1])
-        served = (coeff * step.new_state).sum(axis=0)
-        unmet[k] = np.maximum(demand[:, k + 1] - served, 0.0)
-
-    trajectory = Trajectory(
-        initial_state=initial_state, states=states, controls=controls
-    )
-    costs = total_cost(
-        states, controls, prices[:, 1:], instance.reconfiguration_weights
-    )
-    return ClosedLoopResult(
-        trajectory=trajectory,
-        costs=costs,
-        unmet_demand=unmet,
-        realized_demand=demand.copy(),
-        realized_prices=prices.copy(),
-        steps=tuple(steps),
-    )
+        schedule = np.maximum(
+            capacity_schedule(controller.instance.capacities, K, outages), 1e-9
+        )
+    loop = ClosedLoop(controller, demand, prices, capacities=schedule)
+    return loop.result(loop.run())

@@ -143,6 +143,13 @@ class TestFig9:
         assert result.series["effective_cost"].shape == (3,)
         assert np.all(result.series["effective_cost"] > 0)
 
+    def test_full_run_passes_checks(self):
+        """The paper's shape: a U in the horizon, optimum at a short window."""
+        result = run_fig9()
+        assert result.all_checks_pass, result.notes
+        effective = result.series["effective_cost"]
+        assert int(result.x[int(np.argmin(effective))]) <= 3
+
 
 class TestFig10:
     def test_full_run_passes_checks(self):

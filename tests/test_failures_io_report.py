@@ -3,12 +3,18 @@ generator."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
 from repro.io import load_scenario, save_scenario
+from repro.prediction.ar import ARPredictor
+from repro.prediction.ensemble import BestRecentEnsemble
+from repro.prediction.holt_winters import HoltWintersPredictor
+from repro.prediction.naive import LastValuePredictor, SeasonalNaivePredictor
 from repro.prediction.oracle import OraclePredictor
 from repro.report import ReportOptions, _markdown_table
 from repro.simulation.failures import (
@@ -196,6 +202,138 @@ class TestFailureLoop:
         # After recovery the cheap DC is used again and demand is met.
         assert result.trajectory.states[-1, 0].sum() > 1.0
         assert result.unmet_demand[-1].sum() == pytest.approx(0.0, abs=1e-5)
+
+
+def _predictor_factories():
+    """Each predictor family as ``make(truth) -> Predictor``."""
+    return {
+        "last_value": lambda truth: LastValuePredictor(truth.shape[0]),
+        "seasonal_naive": lambda truth: SeasonalNaivePredictor(
+            truth.shape[0], season_length=4
+        ),
+        "ar": lambda truth: ARPredictor(truth.shape[0], order=2),
+        "holt_winters": lambda truth: HoltWintersPredictor(
+            truth.shape[0], season_length=4
+        ),
+        "best_recent": lambda truth: BestRecentEnsemble(
+            [
+                LastValuePredictor(truth.shape[0]),
+                SeasonalNaivePredictor(truth.shape[0], season_length=4),
+            ]
+        ),
+        "oracle": OraclePredictor,
+    }
+
+
+class TestFailureLoopKeepsHistory:
+    """Capacity changes must not reset the controller's history."""
+
+    OUTAGE = OutageEvent(0, start_period=4, duration=3, remaining_fraction=0.0)
+
+    def _run(self, scenario, demand_predictor, price_predictor, **config):
+        controller = MPCController(
+            scenario.instance,
+            demand_predictor,
+            price_predictor,
+            MPCConfig(window=3, slack_penalty=1e3, **config),
+        )
+        return run_closed_loop_with_failures(
+            controller, scenario.demand, scenario.prices, [self.OUTAGE]
+        )
+
+    def test_steps_carry_their_period(self):
+        scenario = build_small_scenario(num_periods=10, seed=4)
+        instance = scenario.instance
+        result = self._run(
+            scenario,
+            LastValuePredictor(instance.num_locations),
+            LastValuePredictor(instance.num_datacenters),
+        )
+        assert [step.period for step in result.steps] == list(range(9))
+
+    def test_carry_forward_repairs_nan_after_first_period(self):
+        scenario = build_small_scenario(num_periods=10, seed=4)
+        instance = scenario.instance
+        demand = scenario.demand.copy()
+        demand[1, 5] = np.nan  # inside the outage window
+        broken = replace(scenario, demand=demand)
+        result = self._run(
+            broken,
+            LastValuePredictor(instance.num_locations),
+            LastValuePredictor(instance.num_datacenters),
+            imputation="carry_forward",
+        )
+        step = result.steps[5]
+        assert step.imputed_demand is not None
+        assert step.imputed_demand.tolist() == [False, True, False]
+        assert np.array_equal(step.predicted_demand[1], np.full(3, demand[1, 4]))
+        assert np.isfinite(result.trajectory.states).all()
+
+    def test_cold_solves_match_reset_and_refeed_loop(self):
+        """With warm starts off, keeping the history changes nothing: the
+        run is bitwise that of a loop which resets the controller and
+        re-feeds the observed history every period."""
+        scenario = build_small_scenario(num_periods=12, seed=7)
+        instance = scenario.instance
+        demand, prices = scenario.demand, scenario.prices
+
+        def controller():
+            return MPCController(
+                instance,
+                ARPredictor(instance.num_locations, order=2),
+                ARPredictor(instance.num_datacenters, order=2),
+                MPCConfig(window=3, slack_penalty=1e3, warm_start=False),
+            )
+
+        result = run_closed_loop_with_failures(
+            controller(), demand, prices, [self.OUTAGE]
+        )
+        reference = controller()
+        schedule = capacity_schedule(instance.capacities, 12, [self.OUTAGE])
+        states = [instance.initial_state]
+        for k in range(11):
+            capacity = np.maximum(schedule[k + 1], 1e-9)
+            reference.set_capacities(capacity)
+            state = reference.state
+            for l in range(instance.num_datacenters):
+                used = instance.server_size * state[l].sum()
+                if used > capacity[l] + 1e-9:
+                    state[l] *= capacity[l] / used
+            reference.reset(state)
+            reference.demand_predictor.observe_history(demand[:, :k])
+            reference.price_predictor.observe_history(prices[:, :k])
+            step = reference.step(demand[:, k], prices[:, k], horizon=min(3, 11 - k))
+            assert np.array_equal(step.predicted_demand, result.steps[k].predicted_demand)
+            states.append(step.new_state)
+            served = (instance.demand_coefficients * step.new_state).sum(axis=0)
+            unmet = np.maximum(demand[:, k + 1] - served, 0.0)
+            assert np.array_equal(unmet, result.unmet_demand[k])
+        assert np.array_equal(np.stack(states[1:]), result.trajectory.states)
+        assert np.array_equal(np.diff(np.stack(states), axis=0), result.trajectory.controls)
+
+    @pytest.mark.parametrize(
+        "family",
+        ["last_value", "seasonal_naive", "ar", "holt_winters", "best_recent", "oracle"],
+    )
+    def test_forecasts_equal_reset_and_refeed(self, family):
+        """Each forecast equals that of a predictor reset and re-fed the
+        whole observed history, as a loop that resets every period sees."""
+        scenario = build_small_scenario(num_periods=14, seed=6)
+        make = _predictor_factories()[family]
+        result = self._run(scenario, make(scenario.demand), make(scenario.prices))
+        assert len(result.steps) == 13
+        for truth, forecasts in (
+            (scenario.demand, [s.predicted_demand for s in result.steps]),
+            (scenario.prices, [s.predicted_prices for s in result.steps]),
+        ):
+            reference = make(truth)
+            for k, forecast in enumerate(forecasts):
+                reference.reset()
+                reference.observe_history(truth[:, :k])
+                reference.observe(truth[:, k])
+                assert np.array_equal(
+                    reference.predict(forecast.shape[1]), forecast
+                ), f"{family} forecast differs at period {k}"
 
 
 class TestScenarioIO:
