@@ -11,10 +11,12 @@ scale:
   path: one setup, then vector-only updates against the cached Ruiz
   scaling + KKT factorization, ADMM seeded from the stored iterates;
 * **backends** — warm workspace steps under the scale's baseline vs
-  candidate ``(kkt_backend, sparsify_columns)`` pair (sparse vs banded at
-  the dense scales, dense-banded vs sparsified-Krylov at xlarge,
-  sparsified-banded vs sparsified-Krylov at continental), with the worst
-  per-step objective divergence between the two;
+  candidate ``(kkt_backend, sparsify_columns)`` pair, which differ in one
+  setting only (sparse vs banded at the dense scales, banded with column
+  sparsification off vs on at xlarge), with the worst per-step objective
+  divergence between the two.  Continental runs the sparsified banded
+  path alone (a dense reference is intractable there), so its candidate
+  is ``null``;
 * **sweep** — the deterministic parallel sweep runner on a miniature fig9
   configuration, serial vs two processes, with a bit-identity check.
 
@@ -22,8 +24,10 @@ Every scale entry carries the *same* keys; measurements a scale skips
 (the cold path beyond ``large``, where one sparse factorization takes
 tens of seconds) are ``null`` rather than absent, so downstream parsers
 never need per-scale special cases.  A ``scaling_curve`` section lists
-the candidate-backend warm-step time against the problem volume
-``L*V*W`` across every scale benchmarked, continental included.
+the candidate's warm-step time (the baseline's where a scale has no
+candidate) against the problem volume ``L*V*W`` across every scale
+benchmarked, continental included.  ``nproc`` records the CPUs the run
+could use.
 
 Writes ``BENCH_solver.json`` at the repo root (override with ``--out``).
 The cold-vs-workspace comparison solves the identical problem sequence
@@ -34,7 +38,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py                    # full
     PYTHONPATH=src python benchmarks/run_bench.py --quick            # CI smoke
-    PYTHONPATH=src python benchmarks/run_bench.py --backend krylov \\
+    PYTHONPATH=src python benchmarks/run_bench.py --backend banded \\
         --sparsify on --sla-density 0.5                              # pin one
 """
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -59,8 +64,7 @@ __all__ = ["main"]
 
 # (L, V, W): data centers, locations, MPC window.  "paper" matches the
 # source paper's evaluation scale; "continental" is the
-# geo-distributed regime the column sparsifier and the matrix-free
-# Krylov backend exist for.
+# geo-distributed regime the column sparsifier exists for.
 SCALES: dict[str, tuple[int, int, int]] = {
     "small": (2, 6, 3),
     "paper": (4, 24, 6),
@@ -81,17 +85,16 @@ SCALE_DENSITY: dict[str, float] = {
 }
 
 # The baseline and candidate (kkt_backend, sparsify_columns) pairs each
-# scale compares on its warm path.
-SCALE_COMPARISON: dict[str, tuple[tuple[str, str], tuple[str, str]]] = {
+# scale compares on its warm path; the two differ in one setting.
+SCALE_COMPARISON: dict[str, tuple[tuple[str, str], tuple[str, str] | None]] = {
     "small": (("sparse", "off"), ("banded", "off")),
     "paper": (("sparse", "off"), ("banded", "off")),
     "large": (("sparse", "off"), ("banded", "off")),
-    # The acceptance comparison: pruning + matrix-free Krylov must beat
-    # the dense direct-banded path once the pair grid is mostly unusable.
-    "xlarge": (("banded", "off"), ("krylov", "on")),
+    # Column pruning alone, once the pair grid is mostly unusable.
+    "xlarge": (("banded", "off"), ("banded", "on")),
     # A dense reference is intractable here (a 16384-wide block per
-    # period); the sparsified banded backend is the exact reference.
-    "continental": (("banded", "on"), ("krylov", "on")),
+    # period), so the sparsified banded path runs alone.
+    "continental": (("banded", "on"), None),
 }
 
 # Scales where the cold (rebuild-everything) path is impractically slow:
@@ -251,34 +254,44 @@ def bench_backends(name: str, num_steps: int, seed: int = 0) -> dict[str, object
     Both loops consume the same instance and observation streams; each
     advances along its own closed-loop trajectory (the trajectories agree
     to solver tolerance, which the objective divergence column certifies).
+    A scale without a candidate times its baseline alone and nulls the
+    comparison columns.
     """
-    (base_backend, base_sparsify), (cand_backend, cand_sparsify) = SCALE_COMPARISON[
-        name
-    ]
+    (base_backend, base_sparsify), candidate = SCALE_COMPARISON[name]
     base_s, base_obj = _warm_backend_loop(
         name, num_steps, base_backend, base_sparsify, seed
     )
+    result: dict[str, object] = {
+        "baseline": {
+            "backend": base_backend,
+            "sparsify": base_sparsify,
+            "warm_step_ms": round(1e3 * base_s, 3),
+        },
+        "candidate": None,
+        "speedup": None,
+        "max_objective_rel_diff": None,
+        "solutions_match": None,
+    }
+    if candidate is None:
+        return result
+    cand_backend, cand_sparsify = candidate
     cand_s, cand_obj = _warm_backend_loop(
         name, num_steps, cand_backend, cand_sparsify, seed
     )
     worst = float(
         np.max(np.abs(base_obj - cand_obj) / np.maximum(np.abs(base_obj), 1e-12))
     )
-    return {
-        "baseline": {
-            "backend": base_backend,
-            "sparsify": base_sparsify,
-            "warm_step_ms": round(1e3 * base_s, 3),
-        },
-        "candidate": {
+    result.update(
+        candidate={
             "backend": cand_backend,
             "sparsify": cand_sparsify,
             "warm_step_ms": round(1e3 * cand_s, 3),
         },
-        "speedup": round(base_s / cand_s, 2),
-        "max_objective_rel_diff": worst,
-        "solutions_match": bool(worst <= 1e-9),
-    }
+        speedup=round(base_s / cand_s, 2),
+        max_objective_rel_diff=worst,
+        solutions_match=bool(worst <= 1e-9),
+    )
+    return result
 
 
 def bench_ruiz(repeats: int, seed: int = 0) -> dict[str, object]:
@@ -354,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("both", "sparse", "banded", "krylov"),
+        choices=("both", "sparse", "banded"),
         default="both",
         help="KKT backend(s) for the warm comparison: 'both' runs each "
         "scale's baseline-vs-candidate pair (default)",
@@ -394,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         "sparsify": args.sparsify,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "nproc": len(os.sched_getaffinity(0)),
         "scales": {},
         "scaling_curve": [],
     }
@@ -417,16 +431,20 @@ def main(argv: list[str] | None = None) -> int:
             entry["backends"] = backends
             base = backends["baseline"]
             cand = backends["candidate"]
-            print(
+            line = (
                 f"   backends: {base['backend']}/{base['sparsify']} "
-                f"{base['warm_step_ms']} ms/step vs "
-                f"{cand['backend']}/{cand['sparsify']} "
-                f"{cand['warm_step_ms']} ms/step, "
-                f"speedup {backends['speedup']}x, "
-                f"match={backends['solutions_match']}"
+                f"{base['warm_step_ms']} ms/step"
             )
-            curve_ms = cand["warm_step_ms"]
-            curve_variant = cand
+            if cand is not None:
+                line += (
+                    f" vs {cand['backend']}/{cand['sparsify']} "
+                    f"{cand['warm_step_ms']} ms/step, "
+                    f"speedup {backends['speedup']}x, "
+                    f"match={backends['solutions_match']}"
+                )
+            print(line)
+            curve_variant = cand if cand is not None else base
+            curve_ms = curve_variant["warm_step_ms"]
         else:
             warm_s, _ = _warm_backend_loop(name, steps, args.backend, args.sparsify)
             variant = {

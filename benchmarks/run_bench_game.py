@@ -47,11 +47,13 @@ import json
 import os
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.instance import DSPPInstance
+from repro.experiments.pool import ProviderPool
 from repro.game.best_response import BestResponseConfig, compute_equilibrium
 from repro.game.mpc_game import MPCGameConfig, run_mpc_game
 from repro.game.players import ServiceProvider
@@ -91,18 +93,22 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
 # Scale-appropriate solver settings, pinned explicitly so the cold and
 # warm paths solve with identical settings (solve_dspp and DSPPWorkspace
 # have different *defaults*).  The sparse scales ride the sparsified
-# matrix-free Krylov backend, same as the solver benchmark's candidates.
+# banded backend, same as the solver benchmark's candidates.
 SCALE_SETTINGS: dict[str, QPSettings] = {
     "paper": QPSettings(early_polish=True),
-    "xlarge": QPSettings(early_polish=True, kkt_backend="krylov", sparsify_columns="on"),
+    "xlarge": QPSettings(early_polish=True, kkt_backend="banded", sparsify_columns="on"),
     "continental": QPSettings(
-        early_polish=True, kkt_backend="krylov", sparsify_columns="on"
+        early_polish=True, kkt_backend="banded", sparsify_columns="on"
     ),
 }
 
 # Scales where the cold (factorize-everything-every-round) baseline is
 # impractically slow; their cold columns stay null.
 _SKIP_COLD = frozenset({"continental"})
+
+# Worker reply window of the sharded pools.  A continental round takes
+# minutes per provider, far past the pool's default 60 s hang detection.
+_RECV_TIMEOUT_S = 3600.0
 
 # jobs counts exercised for the bitwise-identity certificate at each N.
 def _jobs_grid(num_providers: int) -> tuple[int, ...]:
@@ -207,11 +213,13 @@ def bench_equilibrium(scale: str, num_providers: int, seed: int = 0) -> dict[str
     warm = compute_equilibrium(providers, capacity, warm_config, jobs=1)
     warm_ms = 1e3 * (time.perf_counter() - start) / rounds
 
+    pool_settings = replace(warm_config.pool_settings(), recv_timeout=_RECV_TIMEOUT_S)
     sharded_ms: float | None = None
     bitwise = True
     for jobs in jobs_grid:
         start = time.perf_counter()
-        sharded = compute_equilibrium(providers, capacity, warm_config, jobs=jobs)
+        with ProviderPool(providers, jobs=jobs, settings=pool_settings) as pool:
+            sharded = compute_equilibrium(providers, capacity, warm_config, pool=pool)
         elapsed_ms = 1e3 * (time.perf_counter() - start) / rounds
         if jobs == max(jobs_grid, default=1):
             sharded_ms = elapsed_ms
@@ -331,6 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "note": (
             "serial_cold is the pre-pool behaviour (every round re-solves "
             "from scratch); on a 1-cpu host sharded workers time-slice one "

@@ -15,7 +15,7 @@ coordinator additionally swaps out the capacity vector between rounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class MPCConfig:
             swaps via :meth:`MPCController.set_capacities` stay on the fast
             path; only a genuine structure change (horizon override, SLA or
             weight change) rebuilds.  See ``docs/PERFORMANCE.md``.
-        kkt_backend: convenience override of
-            :attr:`~repro.solvers.qp.QPSettings.kkt_backend` (``"auto"``,
-            ``"sparse"``, ``"banded"`` or ``"krylov"``).  ``None`` defers to
-            ``qp_settings`` (or the solver default).  Set on top of explicit
-            ``qp_settings``, it replaces just the backend field.
         imputation: what to do with non-finite telemetry.  ``"strict"``
             (default) raises :class:`NonFiniteObservationError` at the
             period that saw the bad sample; ``"carry_forward"`` replaces
@@ -86,7 +81,6 @@ class MPCConfig:
     warm_start: bool = True
     slack_penalty: float | None = None
     reuse_workspace: bool = False
-    kkt_backend: str | None = None
     imputation: str = "strict"
 
     def __post_init__(self) -> None:
@@ -96,32 +90,11 @@ class MPCConfig:
             raise ValueError(
                 f"slack_penalty must be positive, got {self.slack_penalty}"
             )
-        if self.kkt_backend is not None and self.kkt_backend not in (
-            "auto",
-            "sparse",
-            "banded",
-            "krylov",
-        ):
-            raise ValueError(
-                f"kkt_backend must be 'auto', 'sparse', 'banded' or 'krylov', "
-                f"got {self.kkt_backend!r}"
-            )
         if self.imputation not in ("strict", "carry_forward"):
             raise ValueError(
                 f"imputation must be 'strict' or 'carry_forward', "
                 f"got {self.imputation!r}"
             )
-
-    def resolved_qp_settings(self) -> QPSettings | None:
-        """``qp_settings`` with any ``kkt_backend`` override applied."""
-        if self.kkt_backend is None:
-            return self.qp_settings
-        base = (
-            self.qp_settings
-            if self.qp_settings is not None
-            else QPSettings(early_polish=True)
-        )
-        return replace(base, kkt_backend=self.kkt_backend)
 
 
 @dataclass(frozen=True)
@@ -378,9 +351,7 @@ class MPCController:
             instance_now,
             predicted_demand,
             predicted_prices,
-            settings=(
-                settings if settings is not None else self.config.resolved_qp_settings()
-            ),
+            settings=settings if settings is not None else self.config.qp_settings,
             warm_start=warm,
             demand_slack_penalty=self.config.slack_penalty,
             workspace=workspace,

@@ -14,7 +14,7 @@ rung    name        strategy
                     problem from scratch (clears any poisoned iterate or
                     stale scaling)
 2       ``sparse``  one-shot solve on the plain sparse-LU KKT backend,
-                    sharing no cached state (sidesteps banded/krylov
+                    sharing no cached state (sidesteps banded
                     backend trouble)
 3       ``hold``    keep the previous placement unchanged (``u = 0``)
                     and account the unserved-demand slack explicitly

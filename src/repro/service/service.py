@@ -73,7 +73,6 @@ class ServiceConfig:
         slack_penalty: per-unit demand-shortfall penalty of the elastic
             horizon solves (keeps degraded periods feasible).
         qp_settings: solver settings for the per-period solves.
-        kkt_backend: optional KKT backend override for the warm/cold rungs.
         ladder: retry budgets and the per-period deadline.
         checkpoint_interval: write a generation every this many periods.
         keep_checkpoints: generations retained on disk.
@@ -86,7 +85,6 @@ class ServiceConfig:
     imputation: str = "carry_forward"
     slack_penalty: float = 1e3
     qp_settings: QPSettings | None = None
-    kkt_backend: str | None = None
     ladder: LadderConfig = LadderConfig()
     checkpoint_interval: int = 1
     keep_checkpoints: int = 3
@@ -165,7 +163,6 @@ class PlacementService:
                 warm_start=True,
                 slack_penalty=self.config.slack_penalty,
                 reuse_workspace=True,
-                kkt_backend=self.config.kkt_backend,
                 imputation=self.config.imputation,
             ),
         )

@@ -26,9 +26,11 @@ fill-in grows superlinearly with ``T``.  Two solvers live here:
     exactly before the recursion: what gets factorized is one dense
     ``LV x LV`` Cholesky block per period over ``x`` alone, with diagonal
     cross-period coupling.
-    Condensation squares the condition number, so every solve finishes
-    with a few steps of iterative refinement against the full KKT
-    residual — the returned ``[x; nu]`` matches the SuperLU path to
+    The recursion stores each period's block inverse explicitly, so a
+    solve is one forward and one backward sweep of symmetric matrix-vector
+    products.  Condensation squares the condition number, so every solve
+    finishes with a few steps of iterative refinement against the full
+    KKT residual — the returned ``[x; nu]`` matches the SuperLU path to
     refinement tolerance.
 
 :class:`BandedActiveSetSystem`
@@ -64,18 +66,6 @@ patterns (pairs sharing a location / a data center);
 :class:`BandedActiveSetSystem` scatters the reduced problem onto the
 dense grid — pruned pairs pinned at their unique optimal value, zero —
 and gathers the solution back on exit.
-
-:class:`BandedKKTSolver` additionally supports ``mode="krylov"``: the
-per-period Cholesky *factors* are kept (no explicit inverses) and the
-condensed state system is solved matrix-free with preconditioned
-conjugate gradients, the block recursion itself acting as the
-preconditioner.  In float64 the preconditioner is exact, so PCG is a
-one/two-iteration certificate; with ``mixed_precision=True`` the factors
-are float32, PCG performs the float64 correction, and each solve is
-accepted only if its refined KKT residual passes a certificate — on
-failure (or float32 Cholesky breakdown) the solver refactorizes in
-float64 and records the event in
-:attr:`BandedKKTSolver.precision_fallbacks`.
 """
 
 from __future__ import annotations
@@ -112,18 +102,6 @@ _MIN_AUTO_PAIRS = 64
 # accuracy against the full (uncondensed) residual.
 _KKT_REFINE_STEPS = 3
 _KKT_REFINE_TOL = 1e-12
-
-# PCG over the condensed state system (``mode="krylov"``).  With float64
-# factors the recursion preconditioner is exact, so the loop terminates
-# after one iteration; float32 factors need the iteration headroom.
-_PCG_TOL = 1e-13
-_PCG_MAX_ITERS = 50
-
-# Mixed-precision acceptance: a float32-factored solve is kept only when
-# its refined relative KKT residual passes this certificate, otherwise
-# the solver demotes itself to float64 (tests monkeypatch this negative
-# to force the fallback path deterministically).
-_MIXED_CERT_TOL = 1e-9
 
 
 def use_banded_backend(view: QPBlockView) -> bool:
@@ -190,15 +168,9 @@ class BandedKKTSolver:
         e: Ruiz row scaling ``E`` diagonal, shape ``(m,)``.
         sigma: ADMM regularization.
         rho_vec: per-constraint step sizes, shape ``(m,)``.
-        mode: ``"banded"`` (explicit block inverses, BLAS-2 sweeps) or
-            ``"krylov"`` (Cholesky factors only, matrix-free PCG).
-        mixed_precision: factorize in float32 (``mode="krylov"`` only);
-            every solve is certified against the full KKT residual and
-            the solver demotes itself to float64 on failure.
 
     Raises:
-        ValueError: if the view's dimensions do not match the problem or
-            the mode combination is invalid.
+        ValueError: if the view's dimensions do not match the problem.
     """
 
     @check_shapes("d:(n,)", "e:(m,)", "rho_vec:(m,)")
@@ -210,13 +182,7 @@ class BandedKKTSolver:
         e: np.ndarray,
         sigma: float,
         rho_vec: np.ndarray,
-        mode: str = "banded",
-        mixed_precision: bool = False,
     ) -> None:
-        if mode not in ("banded", "krylov"):
-            raise ValueError(f"mode must be 'banded' or 'krylov', got {mode!r}")
-        if mixed_precision and mode != "krylov":
-            raise ValueError("mixed_precision requires mode='krylov'")
         n = view.num_variables
         m = view.num_constraints
         if scaled.num_variables != n or scaled.num_constraints != m:
@@ -240,14 +206,12 @@ class BandedKKTSolver:
         self._num_steps = T
         self._lv = LV
         self._elastic = elastic
-        self._mode = mode
 
         # Pair coordinates: valid for both the dense and reduced layouts.
         pair_loc = view.pair_location
         pair_dc = view.pair_datacenter
         coeff_p = view.active_demand_coeff
         self._pair_loc = pair_loc
-        self._pair_dc = pair_dc
 
         # Family-major reshapes of the diagonal scalings.
         d_x = d[:half].reshape(T, LV)
@@ -335,16 +299,11 @@ class BandedKKTSolver:
         self._idx_dc = dc_i * LV + dc_j
         self._loc_of = pair_loc[loc_i]
         self._dc_of = pair_dc[dc_i]
-        # Incidence matrices (group sums) for the matrix-free operator.
-        ones = np.ones(LV)
-        arange = np.arange(LV)
-        self._inc_loc_t = sp.csr_matrix((ones, (pair_loc, arange)), shape=(V, LV))
-        self._inc_dc_t = sp.csr_matrix((ones, (pair_dc, arange)), shape=(L, LV))
+        # Location incidence (group sums) for the elastic back-substitution.
+        self._inc_loc_t = sp.csr_matrix(
+            (np.ones(LV), (pair_loc, np.arange(LV))), shape=(V, LV)
+        )
 
-        self._mixed_active = bool(mixed_precision)
-        self._factor_dtype: type = np.float32 if self._mixed_active else np.float64
-        self.precision_fallbacks = 0
-        self.pcg_iterations = 0
         self._factorize_blocks()
 
         # Hot-loop constants: the eliminated-variable ratios and the CSR
@@ -384,160 +343,39 @@ class BandedKKTSolver:
         return M
 
     def _factorize_blocks(self) -> None:
-        """(Re)factorize every condensed block.
+        """Sequential block Cholesky with Schur-complement corrections.
 
-        A float32 Cholesky breakdown demotes the solver to float64 once
-        and retries; a float64 breakdown propagates (the workspace falls
-        back to the sparse KKT path).
+        The per-period inverses are stored explicitly: the recursion needs
+        ``M_t^{-1}`` for the Schur correction anyway, and the ADMM hot loop
+        then solves each period with one GEMV instead of a pair of
+        triangular solves behind scipy call overhead.  A Cholesky
+        breakdown propagates (the workspace falls back to the sparse KKT
+        path).
         """
-        try:
-            self._factorize_blocks_impl()
-        except np.linalg.LinAlgError:
-            if self._factor_dtype is np.float64:
-                raise
-            self.precision_fallbacks += 1
-            self._mixed_active = False
-            self._factor_dtype = np.float64
-            self._factorize_blocks_impl()
-
-    def _factorize_blocks_impl(self) -> None:
-        # Sequential block Cholesky with Schur-complement corrections.
-        # ``banded`` stores the per-period inverses explicitly: the
-        # recursion needs M_t^{-1} for the Schur correction anyway, and
-        # the ADMM hot loop then solves each period with one GEMV
-        # instead of a pair of triangular solves behind scipy call
-        # overhead.  ``krylov`` keeps only the factors (halving setup
-        # cost and memory traffic) and forms the correction through a
-        # triangular solve against the coupling diagonal.
         T, LV = self._num_steps, self._lv
-        dtype = self._factor_dtype
         sanitizing = sanitize.enabled()
-        minv = np.empty((T, LV, LV)) if self._mode == "banded" else np.empty((0, 0, 0))
-        factors: list[np.ndarray] = []
+        minv = np.empty((T, LV, LV))
         corr: np.ndarray | None = None
         with sanitize.guard("BandedKKTSolver factorization"):
             for t in range(T):
                 M = self._assemble_block(t)
                 if corr is not None:
                     M -= corr
-                if self._mode == "banded":
-                    chol, _ = sla.cho_factor(
-                        M, lower=True, overwrite_a=True, check_finite=False
-                    )
-                    if sanitizing:
-                        sanitize.record_pivot(float(np.min(np.diagonal(chol))))
-                    inv_l = sla.solve_triangular(
-                        chol, np.eye(LV), lower=True, check_finite=False
-                    )
-                    s_t = inv_l.T @ inv_l
-                    minv[t] = s_t
-                    if t + 1 < T:
-                        c = self._ctilde[t + 1]
-                        corr = c[:, None] * s_t * c[None, :]
-                else:
-                    Mw = M if dtype is np.float64 else M.astype(np.float32)
-                    chol, _ = sla.cho_factor(
-                        Mw, lower=True, overwrite_a=True, check_finite=False
-                    )
-                    diag = np.diagonal(chol)
-                    if not np.all(np.isfinite(diag)):
-                        raise np.linalg.LinAlgError(
-                            "non-finite Cholesky diagonal in reduced precision"
-                        )
-                    if sanitizing:
-                        sanitize.record_pivot(float(np.min(diag)))
-                    factors.append(np.asarray(chol))
-                    if t + 1 < T:
-                        c_diag = np.diag(self._ctilde[t + 1]).astype(
-                            dtype, copy=False
-                        )
-                        y = sla.solve_triangular(
-                            chol, c_diag, lower=True, check_finite=False
-                        )
-                        corr = (y.T @ y).astype(np.float64)
+                chol, _ = sla.cho_factor(
+                    M, lower=True, overwrite_a=True, check_finite=False
+                )
+                if sanitizing:
+                    sanitize.record_pivot(float(np.min(np.diagonal(chol))))
+                inv_l = sla.solve_triangular(
+                    chol, np.eye(LV), lower=True, check_finite=False
+                )
+                s_t = inv_l.T @ inv_l
+                minv[t] = s_t
+                if t + 1 < T:
+                    c = self._ctilde[t + 1]
+                    corr = c[:, None] * s_t * c[None, :]
         self._minv = minv
-        self._factors = factors
-        if self._mode == "banded":
-            sanitize.check_finite("BandedKKTSolver factors", minv)
-        elif not all(np.all(np.isfinite(f)) for f in factors):
-            raise np.linalg.LinAlgError("non-finite Cholesky factor")
-
-    def _recursion_apply(self, f: np.ndarray) -> np.ndarray:
-        """Forward/backward sweep through the stored Cholesky factors.
-
-        Exact solve of the condensed system when the factors are
-        float64; an approximate one (corrected by PCG) when float32.
-        """
-        T = self._num_steps
-        dtype = self._factor_dtype
-        factors = self._factors
-        ctilde = self._ctilde
-        w = np.empty_like(f)
-        for t in range(T):
-            rhs = f[t] if t == 0 else f[t] - ctilde[t] * w[t - 1]
-            w[t] = sla.cho_solve(
-                (factors[t], True), rhs.astype(dtype, copy=False), check_finite=False
-            )
-        x = np.empty_like(f)
-        x[T - 1] = w[T - 1]
-        for t in range(T - 2, -1, -1):
-            back = sla.cho_solve(
-                (factors[t], True),
-                (ctilde[t + 1] * x[t + 1]).astype(dtype, copy=False),
-                check_finite=False,
-            )
-            x[t] = w[t] - back
-        return x
-
-    def _h_apply(self, z: np.ndarray) -> np.ndarray:
-        """Matrix-free float64 product of the condensed state system
-        with a ``(T, LV)`` grid ``z``."""
-        out = self._x_diag * z
-        gz = self._g_dem * z
-        sums = (self._inc_loc_t @ gz.T).T  # (T, V) per-location sums
-        out += self._g_dem * (self._r_dem * sums)[:, self._pair_loc]
-        gcz = self._g_cap * z
-        csums = (self._inc_dc_t @ gcz.T).T  # (T, L) per-center sums
-        out += self._g_cap * (self._r_cap * csums)[:, self._pair_dc]
-        if self._elastic:
-            wz = self._wxv * z
-            wsums = (self._inc_loc_t @ wz.T).T  # (T, V)
-            out -= self._wxv * (wsums / self._dw)[:, self._pair_loc]
-        out[1:] += self._ctilde[1:] * z[:-1]
-        out[:-1] += self._ctilde[1:] * z[1:]
-        return out
-
-    def _pcg(self, rhs: np.ndarray) -> np.ndarray:
-        """Preconditioned CG on the condensed state system (SPD)."""
-        norm_b = float(np.max(np.abs(rhs), initial=0.0))
-        x = np.zeros_like(rhs)
-        if not norm_b > 0.0:
-            return x
-        r = rhs.copy()
-        z = self._recursion_apply(r)
-        p = z.copy()
-        rz = float(np.sum(r * z))
-        for _ in range(_PCG_MAX_ITERS):
-            self.pcg_iterations += 1
-            hp = self._h_apply(p)
-            php = float(np.sum(p * hp))
-            if php <= 0.0:
-                break
-            alpha = rz / php
-            x += alpha * p
-            r -= alpha * hp
-            if float(np.max(np.abs(r), initial=0.0)) <= _PCG_TOL * norm_b:
-                break
-            z = self._recursion_apply(r)
-            rz_new = float(np.sum(r * z))
-            if rz <= 0.0:
-                # M-inner products are positive while r != 0; a non-positive
-                # value means the preconditioner lost SPD (float32 breakdown).
-                break
-            beta = rz_new / rz
-            rz = rz_new
-            p = z + beta * p
-        return x
+        sanitize.check_finite("BandedKKTSolver factors", minv)
 
     def _condensed_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``H z = rhs`` with the stored block factors."""
@@ -554,26 +392,21 @@ class BandedKKTSolver:
             fw = rhs[2 * half :].reshape(T, -1)
             fw_dw = fw / self._dw
             fx -= self._wxv * fw_dw[:, self._pair_loc]
-        if self._mode == "krylov":
-            x = self._pcg(fx)
-        else:
-            # Forward/backward substitution.  The block applies stream
-            # the stored inverses from memory, so they run
-            # bandwidth-bound: ``dsymv`` on the (symmetric) inverse
-            # reads half the matrix a plain GEMV would.  The ``.T`` view
-            # is F-contiguous, which BLAS accepts without a copy.
-            minv = self._minv
-            ctilde = self._ctilde
-            w = np.empty((T, LV))
-            w[0] = dsymv(1.0, minv[0].T, fx[0], lower=1)
-            for t in range(1, T):
-                w[t] = dsymv(1.0, minv[t].T, fx[t] - ctilde[t] * w[t - 1], lower=1)
-            x = np.empty((T, LV))
-            x[T - 1] = w[T - 1]
-            for t in range(T - 2, -1, -1):
-                x[t] = w[t] - dsymv(
-                    1.0, minv[t].T, ctilde[t + 1] * x[t + 1], lower=1
-                )
+        # Forward/backward substitution.  The block applies stream the
+        # stored inverses from memory, so they run bandwidth-bound:
+        # ``dsymv`` on the (symmetric) inverse reads half the matrix a
+        # plain GEMV would.  The ``.T`` view is F-contiguous, which BLAS
+        # accepts without a copy.
+        minv = self._minv
+        ctilde = self._ctilde
+        w = np.empty((T, LV))
+        w[0] = dsymv(1.0, minv[0].T, fx[0], lower=1)
+        for t in range(1, T):
+            w[t] = dsymv(1.0, minv[t].T, fx[t] - ctilde[t] * w[t - 1], lower=1)
+        x = np.empty((T, LV))
+        x[T - 1] = w[T - 1]
+        for t in range(T - 2, -1, -1):
+            x[t] = w[t] - dsymv(1.0, minv[t].T, ctilde[t + 1] * x[t + 1], lower=1)
         # Back-substitute the eliminated variables.
         u = fu_du - self._cross_du * x
         u[1:] -= self._cux_du[1:] * x[:-1]
@@ -598,21 +431,11 @@ class BandedKKTSolver:
         """
         sanitize.check_finite("BandedKKTSolver.solve rhs", rhs)
         with sanitize.guard("BandedKKTSolver.solve"):
-            out, err, scale = self._refine_solve(rhs)
-            # Mixed-precision certificate: keep the float32-factored
-            # result only if refinement drove the true KKT residual
-            # below tolerance (NaN-safe comparison — a non-finite err
-            # also demotes).
-            if self._mixed_active and not err <= _MIXED_CERT_TOL * scale:
-                self.precision_fallbacks += 1
-                self._mixed_active = False
-                self._factor_dtype = np.float64
-                self._factorize_blocks()
-                out, err, scale = self._refine_solve(rhs)
+            out = self._refine_solve(rhs)
         sanitize.check_finite("BandedKKTSolver.solve result", out)
         return out
 
-    def _refine_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def _refine_solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self._view.num_variables
         A = self._scaled.A
         At = self._a_t
@@ -645,7 +468,7 @@ class BandedKKTSolver:
             ax = ax + adx
             nu = nu + r * (adx - r2)
         sanitize.record_refinement(steps, err / scale)
-        return np.concatenate([x, nu]), err, scale
+        return np.concatenate([x, nu])
 
 
 class BandedActiveSetSystem:

@@ -187,10 +187,7 @@ class QPSettings:
     horizon QP (see :class:`repro.core.matrices.QPBlockView`):
     ``"sparse"`` is the general sparse-LU path, ``"banded"`` forces the
     block-tridiagonal Riccati-style recursion of
-    :mod:`repro.solvers.banded`, ``"krylov"`` keeps the same recursion
-    but stores Cholesky factors instead of explicit block inverses and
-    solves the condensed state system by preconditioned conjugate
-    gradients (matrix-free operator, the recursion as preconditioner),
+    :mod:`repro.solvers.banded` (explicit per-period block inverses),
     and ``"auto"`` (the default) picks banded when the horizon and
     per-period block size are large enough for it to win.  Problems
     without block structure always use the sparse path.
@@ -203,13 +200,6 @@ class QPSettings:
     inexact) and ``"off"`` keeps the dense layout.  The flag is consumed
     by the DSPP layer (:mod:`repro.core.dspp`); raw :func:`solve_qp`
     calls receive whatever layout the caller assembled.
-
-    ``mixed_precision`` (Krylov backend only) factors the per-period
-    blocks in float32 — halving factorization time and factor storage —
-    while PCG iterates against the exact float64 operator.  Every solve
-    is certified by the banded backend's KKT residual check; on a failed
-    certificate the workspace transparently re-factorizes in float64 and
-    re-solves (see :attr:`repro.solvers.banded.BandedKKTSolver.precision_fallbacks`).
     """
 
     max_iterations: int = 20000
@@ -228,7 +218,6 @@ class QPSettings:
     early_polish_factor: float = 1e4
     kkt_backend: str = "auto"
     sparsify_columns: str = "auto"
-    mixed_precision: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 2.0:
@@ -239,20 +228,15 @@ class QPSettings:
             raise ValueError(
                 f"early_polish_factor must be > 1, got {self.early_polish_factor}"
             )
-        if self.kkt_backend not in ("auto", "sparse", "banded", "krylov"):
+        if self.kkt_backend not in ("auto", "sparse", "banded"):
             raise ValueError(
-                f"kkt_backend must be 'auto', 'sparse', 'banded' or 'krylov', "
+                f"kkt_backend must be 'auto', 'sparse' or 'banded', "
                 f"got {self.kkt_backend!r}"
             )
         if self.sparsify_columns not in ("auto", "on", "off"):
             raise ValueError(
                 f"sparsify_columns must be 'auto', 'on' or 'off', "
                 f"got {self.sparsify_columns!r}"
-            )
-        if self.mixed_precision and self.kkt_backend != "krylov":
-            raise ValueError(
-                "mixed_precision requires kkt_backend='krylov' (the float32 "
-                "factors are only safe behind the PCG + certificate loop)"
             )
 
 

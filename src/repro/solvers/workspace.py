@@ -127,7 +127,6 @@ class QPWorkspace:
         # one) and the backend decision derived from it + the settings.
         self._blocks: QPBlockView | None = None
         self._use_banded = False
-        self._banded_mode = "banded"
         self._x: np.ndarray | None = None
         self._z: np.ndarray | None = None
         self._y: np.ndarray | None = None
@@ -261,20 +260,16 @@ class QPWorkspace:
                 f"does not match problem ({n}, {m})"
             )
         self._blocks = blocks
-        if cfg.kkt_backend in ("banded", "krylov"):
-            if blocks is None:
-                raise ValueError(
-                    f"kkt_backend={cfg.kkt_backend!r} requires the per-period "
-                    "block structure (pass blocks=structure.blocks)"
-                )
-            self._use_banded = True
-            self._banded_mode = cfg.kkt_backend
-        elif cfg.kkt_backend == "auto":
-            self._use_banded = blocks is not None and use_banded_backend(blocks)
-            self._banded_mode = "banded"
-        else:
-            self._use_banded = False
-            self._banded_mode = "banded"
+        if cfg.kkt_backend == "banded" and blocks is None:
+            raise ValueError(
+                "kkt_backend='banded' requires the per-period block "
+                "structure (pass blocks=structure.blocks)"
+            )
+        self._use_banded = cfg.kkt_backend == "banded" or (
+            cfg.kkt_backend == "auto"
+            and blocks is not None
+            and use_banded_backend(blocks)
+        )
 
         if cfg.scaling_iterations > 0:
             prev = self._problem
@@ -344,8 +339,6 @@ class QPWorkspace:
                     scaling.e,
                     cfg.sigma,
                     rho_vec,
-                    mode=self._banded_mode,
-                    mixed_precision=cfg.mixed_precision,
                 )
             except np.linalg.LinAlgError:
                 self._use_banded = False

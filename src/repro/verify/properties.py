@@ -12,13 +12,12 @@ The registered properties:
 ``qp_reference``                      ADMM/crossover vs scipy trust-constr
 ``qp_workspace_sequence``             warm workspace resolve ≡ cold solve
 ``banded_equals_default``             block-banded KKT backend ≡ sparse
-                                      backend along a workspace walk
+                                      backend along a workspace walk, on
+                                      dense and (a share of draws) pruned
+                                      reduced layouts
 ``sparsified_equals_dense``           column-sparsified stacking ≡ dense
                                       stacking along a workspace walk over
                                       0–95% pruned instances
-``krylov_equals_banded``              matrix-free Krylov KKT backend (incl.
-                                      mixed precision) ≡ direct banded
-                                      backend along a workspace walk
 ``dspp_reference``                    stacked DSPP QP vs trust-constr +
                                       trajectory feasibility audit
 ``cost_scale_invariance``             scaling prices and reconfiguration
@@ -127,7 +126,6 @@ __all__ = [
     "prop_fluid_matches_events",
     "prop_horizon1_mpc_equals_myopic",
     "prop_integer_sandwich",
-    "prop_krylov_equals_banded",
     "prop_mm1_inversion",
     "prop_mm1_sim",
     "prop_price_monotonicity",
@@ -146,11 +144,18 @@ __all__ = [
 # normalized by max(1, |a|, |b|) and use this headroom.
 _SOLVER_RTOL = 5e-5
 
+# Share of banded_equals_default draws taken from random_pruned_instance,
+# so the banded backend is also checked on reduced (sparsified) layouts.
+_PRUNED_SHARE = 0.4
+
 
 def _draw_problem(
-    rng: np.random.Generator, tier: ScaleTier, load: float = 0.6
+    rng: np.random.Generator,
+    tier: ScaleTier,
+    load: float = 0.6,
+    pruned: bool = False,
 ) -> tuple[DSPPInstance, np.ndarray, np.ndarray]:
-    instance = random_instance(rng, tier)
+    instance = random_pruned_instance(rng, tier) if pruned else random_instance(rng, tier)
     horizon = int(rng.integers(1, tier.max_horizon + 1))
     demand = random_demand(rng, instance, horizon, load=load)
     prices = random_prices(rng, instance, horizon)
@@ -254,10 +259,16 @@ def prop_banded_equals_default(
     (read off the dual signs).  Draws stay in the well-conditioned regime
     the controller actually operates in: moderate loads and moderate slack
     penalties, where the KKT solve (not ADMM path sensitivity) is the only
-    thing that differs between backends.
+    thing that differs between backends.  A share of the draws comes from
+    :func:`random_pruned_instance`, so the banded recursion also runs on
+    the column-sparsified (reduced pair) layout that ``"auto"`` picks
+    there.
     """
     instance, demand, prices = _draw_problem(
-        rng, tier, load=float(rng.uniform(0.3, 0.8))
+        rng,
+        tier,
+        load=float(rng.uniform(0.3, 0.8)),
+        pruned=bool(rng.random() < _PRUNED_SHARE),
     )
     penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
     workspaces = {
@@ -465,104 +476,6 @@ def prop_sparsified_equals_dense(
         prices = random_prices(rng, instance, horizon)
         if rng.random() < 0.5:
             instance = instance.with_initial_state(pruned_states[0])
-    return findings
-
-
-def prop_krylov_equals_banded(
-    rng: np.random.Generator, tier: ScaleTier
-) -> list[Discrepancy]:
-    """The matrix-free Krylov KKT backend ≡ the direct banded backend.
-
-    Both backends condense the same reduced-layout KKT system; the Krylov
-    one replaces the explicit block inverses with a PCG solve
-    preconditioned by the block-Cholesky recursion (an *exact* inverse in
-    float64, so PCG converges in one or two iterations).  Along a
-    workspace walk over pruned instances the two must agree on status,
-    objective and constraint activity.  A ~30% fraction of draws turns on
-    ``mixed_precision`` for the Krylov side: the float32 factorization is
-    accepted only under its per-solve KKT-residual certificate, with a
-    certified float64 fallback, so agreement must hold there too.
-    """
-    instance = random_pruned_instance(rng, tier)
-    horizon = int(rng.integers(1, tier.max_horizon + 1))
-    demand = random_demand(rng, instance, horizon, load=float(rng.uniform(0.3, 0.8)))
-    prices = random_prices(rng, instance, horizon)
-    penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
-    mixed = bool(rng.random() < 0.3)
-    settings = {
-        "banded": QPSettings(early_polish=True, kkt_backend="banded"),
-        "krylov": QPSettings(
-            early_polish=True, kkt_backend="krylov", mixed_precision=mixed
-        ),
-    }
-    workspaces = {backend: DSPPWorkspace() for backend in settings}
-    findings: list[Discrepancy] = []
-    num_solves = int(rng.integers(2, 4))
-    for step in range(num_solves):
-        label = f"krylov_equals_banded/step{step}"
-        solutions = {}
-        for backend, workspace in workspaces.items():
-            solutions[backend] = solve_dspp(
-                instance,
-                demand,
-                prices,
-                settings=settings[backend],
-                demand_slack_penalty=penalty,
-                workspace=workspace,
-            )
-        banded_qp = solutions["banded"].qp
-        krylov_qp = solutions["krylov"].qp
-        if banded_qp.status is not krylov_qp.status:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"statuses diverge: banded {banded_qp.status.value} vs "
-                    f"krylov {krylov_qp.status.value}",
-                    math.inf,
-                )
-            )
-            break
-        tol = 1e-9 if (banded_qp.polished and krylov_qp.polished) else _SOLVER_RTOL
-        gap = relative_gap(
-            solutions["krylov"].objective, solutions["banded"].objective
-        )
-        if gap > tol:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"krylov objective {solutions['krylov'].objective:.12g} vs "
-                    f"banded {solutions['banded'].objective:.12g}"
-                    + (" (mixed precision)" if mixed else ""),
-                    gap,
-                )
-            )
-        # Both backends solve the identically shaped (possibly reduced)
-        # QP, so the raw dual vectors are directly comparable.
-        y_scale = max(
-            1.0,
-            float(np.max(np.abs(banded_qp.y), initial=0.0)),
-            float(np.max(np.abs(krylov_qp.y), initial=0.0)),
-        )
-        thresh = 1e-6 * y_scale
-        banded_sign = np.sign(banded_qp.y) * (np.abs(banded_qp.y) > thresh)
-        krylov_sign = np.sign(krylov_qp.y) * (np.abs(krylov_qp.y) > thresh)
-        confident = np.maximum(np.abs(banded_qp.y), np.abs(krylov_qp.y)) > 10 * thresh
-        mismatched = int(np.sum((banded_sign != krylov_sign) & confident))
-        if mismatched:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"{mismatched} constraints are active under one backend "
-                    "but inactive under the other",
-                    float(mismatched),
-                )
-            )
-        demand = random_demand(rng, instance, horizon, load=0.5)
-        prices = random_prices(rng, instance, horizon)
-        if rng.random() < 0.4:
-            instance = instance.with_initial_state(
-                solutions["krylov"].trajectory.states[0]
-            )
     return findings
 
 

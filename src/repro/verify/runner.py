@@ -68,7 +68,6 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec("qp_workspace_sequence", props.prop_qp_workspace_sequence),
         CheckSpec("banded_equals_default", props.prop_banded_equals_default),
         CheckSpec("sparsified_equals_dense", props.prop_sparsified_equals_dense),
-        CheckSpec("krylov_equals_banded", props.prop_krylov_equals_banded),
         CheckSpec("dspp_reference", props.prop_dspp_reference, ("tiny", "small")),
         CheckSpec("cost_scale_invariance", props.prop_cost_scale_invariance),
         CheckSpec("demand_monotonicity", props.prop_demand_monotonicity),

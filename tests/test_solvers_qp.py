@@ -83,6 +83,10 @@ class TestQPSettings:
         with pytest.raises(ValueError, match="rho"):
             QPSettings(rho=0.0)
 
+    def test_rejects_unknown_kkt_backend(self):
+        with pytest.raises(ValueError, match="kkt_backend"):
+            QPSettings(kkt_backend="krylov")
+
 
 class TestUnconstrained:
     def test_no_constraints_solves_normal_equations(self):

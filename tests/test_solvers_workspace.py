@@ -212,7 +212,7 @@ def _structured_problem(rng, horizon=5, elastic=False):
     return instance, structure, q, l, u
 
 
-@pytest.mark.parametrize("backend", ["sparse", "banded", "krylov", "auto"])
+@pytest.mark.parametrize("backend", ["sparse", "banded", "auto"])
 class TestBlockBackendWorkspace:
     """QPWorkspace over a stacked-horizon QP, parametrized across KKT
     backends.  The banded path factors the identical Ruiz-scaled KKT
@@ -265,10 +265,9 @@ class TestBlockBackendWorkspace:
 
 
 class TestBandedBackendDispatch:
-    @pytest.mark.parametrize("backend", ["banded", "krylov"])
-    def test_forced_block_backend_without_blocks_raises(self, rng, backend):
+    def test_forced_block_backend_without_blocks_raises(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
+        ws = QPWorkspace(settings=QPSettings(kkt_backend="banded"))
         with pytest.raises(ValueError, match="block"):
             ws.setup(P, A, q=q, l=l, u=u)
 
@@ -278,7 +277,7 @@ class TestBandedBackendDispatch:
         # counts (and therefore the whole trajectory schedule) coincide.
         _, structure, q, l, u = _structured_problem(rng)
         results = {}
-        for backend in ("sparse", "banded", "krylov"):
+        for backend in ("sparse", "banded"):
             ws = QPWorkspace(
                 settings=QPSettings(early_polish=True, kkt_backend=backend)
             )
@@ -286,11 +285,10 @@ class TestBandedBackendDispatch:
                 structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks
             )
             results[backend] = ws.solve()
-        for backend in ("banded", "krylov"):
-            assert results["sparse"].iterations == results[backend].iterations
-            assert results[backend].objective == pytest.approx(
-                results["sparse"].objective, rel=1e-9, abs=1e-9
-            )
+        assert results["sparse"].iterations == results["banded"].iterations
+        assert results["banded"].objective == pytest.approx(
+            results["sparse"].objective, rel=1e-9, abs=1e-9
+        )
 
 
 class TestDSPPWorkspace:

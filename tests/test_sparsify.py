@@ -1,11 +1,10 @@
-"""Column sparsification, the Krylov backend and their supporting caches.
+"""Column sparsification and its supporting caches.
 
 Covers the contract surface the differentials cannot see directly:
 memoization identity on :class:`~repro.core.instance.DSPPInstance`,
 fingerprint separation between the dense and reduced layouts, the
 ``sparsify_columns="on"`` exactness guard, exact zeros in the unstacked
-trajectory, the mixed-precision fall-back path and the equilibration
-reuse counter.
+trajectory on both KKT backends, and the equilibration reuse counter.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.solvers.banded as banded
 from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.core.matrices import resolve_sparsify, structure_fingerprint
@@ -106,102 +104,41 @@ class TestFingerprintAndResolve:
             solve_dspp(bad, demand, prices, settings=QPSettings(sparsify_columns="on"))
 
 
+@pytest.mark.parametrize("kkt_backend", ["sparse", "banded"])
 class TestSparsifiedSolutions:
-    def test_pruned_pairs_are_exact_zeros(self, pruned_instance, rng):
+    def test_pruned_pairs_are_exact_zeros(self, pruned_instance, rng, kkt_backend):
         demand, prices = _forecasts(pruned_instance, 4, rng)
         solution = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(early_polish=True, sparsify_columns="on"),
+            settings=QPSettings(
+                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="on"
+            ),
         )
         unusable = ~pruned_instance.usable_pairs
         assert np.count_nonzero(solution.trajectory.states[:, unusable]) == 0
         assert np.count_nonzero(solution.trajectory.controls[:, unusable]) == 0
 
-    def test_matches_dense_objective(self, pruned_instance, rng):
+    def test_matches_dense_objective(self, pruned_instance, rng, kkt_backend):
         demand, prices = _forecasts(pruned_instance, 4, rng)
         dense = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(early_polish=True, sparsify_columns="off"),
+            settings=QPSettings(
+                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="off"
+            ),
         )
         reduced = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(early_polish=True, sparsify_columns="on"),
+            settings=QPSettings(
+                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="on"
+            ),
         )
         assert reduced.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
-
-
-class TestMixedPrecision:
-    def test_requires_krylov_backend(self):
-        with pytest.raises(ValueError, match="krylov"):
-            QPSettings(kkt_backend="banded", mixed_precision=True)
-
-    def test_certificate_failure_falls_back_to_float64(
-        self, pruned_instance, rng, monkeypatch
-    ):
-        # An impossible certificate forces the fall-back on the very first
-        # solve; the result must come from the recovered float64 path.
-        monkeypatch.setattr(banded, "_MIXED_CERT_TOL", -1.0)
-        demand, prices = _forecasts(pruned_instance, 3, rng)
-        reference = solve_dspp(
-            pruned_instance,
-            demand,
-            prices,
-            settings=QPSettings(early_polish=True, kkt_backend="banded"),
-        )
-        ws = DSPPWorkspace()
-        mixed = solve_dspp(
-            pruned_instance,
-            demand,
-            prices,
-            settings=QPSettings(
-                early_polish=True,
-                kkt_backend="krylov",
-                sparsify_columns="on",
-                mixed_precision=True,
-            ),
-            workspace=ws,
-        )
-        solver = ws._qp._lu
-        assert isinstance(solver, banded.BandedKKTSolver)
-        assert solver.precision_fallbacks >= 1
-        assert not solver._mixed_active
-        assert mixed.objective == pytest.approx(
-            reference.objective, rel=1e-9, abs=1e-9
-        )
-
-    def test_certificate_pass_keeps_float32_active(self, pruned_instance, rng):
-        demand, prices = _forecasts(pruned_instance, 3, rng)
-        ws = DSPPWorkspace()
-        mixed = solve_dspp(
-            pruned_instance,
-            demand,
-            prices,
-            settings=QPSettings(
-                early_polish=True,
-                kkt_backend="krylov",
-                sparsify_columns="on",
-                mixed_precision=True,
-            ),
-            workspace=ws,
-        )
-        reference = solve_dspp(
-            pruned_instance,
-            demand,
-            prices,
-            settings=QPSettings(early_polish=True, kkt_backend="banded"),
-        )
-        solver = ws._qp._lu
-        assert solver.precision_fallbacks == 0
-        assert solver._mixed_active
-        assert mixed.objective == pytest.approx(
-            reference.objective, rel=1e-8, abs=1e-8
-        )
 
 
 class TestEquilibrationReuse:
