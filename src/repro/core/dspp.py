@@ -8,6 +8,7 @@ costs and the capacity duals that Algorithm 2's coordinator needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from repro.core.matrices import (
     build_qp_vectors,
     resolve_sparsify,
     structure_fingerprint,
+    structure_from_fingerprint,
 )
 from repro.core.state import Trajectory
-from repro.solvers.qp import QPSettings, QPSolution, QPStatus, solve_qp
+from repro.solvers.qp import QPProblem, QPSettings, QPSolution, QPStatus, solve_qp
 from repro.solvers.workspace import QPWorkspace
 
 __all__ = ["DSPPInfeasibleError", "DSPPSolution", "DSPPWorkspace", "solve_dspp"]
@@ -63,6 +65,43 @@ class DSPPWorkspace:
         self._qp = QPWorkspace()
         self._structure: StackedQPStructure | None = None
         self._settings: QPSettings | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle support for checkpoint/restore (see ``repro.service``).
+
+        The stacked structure is a deterministic function of its
+        fingerprint (see
+        :func:`~repro.core.matrices.structure_from_fingerprint`), and the
+        inner workspace's ``P``, ``A`` and block view are the structure's.
+        So the snapshot keeps the fingerprint in place of the structure and
+        only ``q``/``l``/``u`` of the inner workspace's problem.
+        """
+        qp_state = self._qp.__getstate__()
+        fingerprint = None
+        if self._structure is not None:
+            fingerprint = self._structure.fingerprint
+            problem = qp_state["_problem"]
+            if problem is not None:
+                qp_state["_problem"] = (problem.q, problem.l, problem.u)
+                qp_state["_blocks"] = None
+        return {"_qp": qp_state, "_fingerprint": fingerprint, "_settings": self._settings}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Rebuild the structure, then the inner workspace on top of it."""
+        self._settings = state["_settings"]
+        fingerprint = state["_fingerprint"]
+        self._structure = (
+            None if fingerprint is None else structure_from_fingerprint(fingerprint)
+        )
+        qp_state = dict(state["_qp"])
+        vectors = qp_state["_problem"]
+        if self._structure is not None and isinstance(vectors, tuple):
+            P, A = QPProblem.build_matrices(self._structure.P, self._structure.A)
+            q, l, u = vectors
+            qp_state["_problem"] = QPProblem(P=P, q=q, A=A, l=l, u=u)
+            qp_state["_blocks"] = self._structure.blocks
+        self._qp = QPWorkspace.__new__(QPWorkspace)
+        self._qp.__setstate__(qp_state)
 
     @property
     def num_setups(self) -> int:

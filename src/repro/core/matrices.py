@@ -25,7 +25,7 @@ coordinator to act on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +43,7 @@ __all__ = [
     "build_stacked_qp",
     "resolve_sparsify",
     "structure_fingerprint",
+    "structure_from_fingerprint",
 ]
 
 
@@ -431,6 +432,45 @@ def structure_fingerprint(
         bool(sparsify),
         mask_bytes,
     )
+
+
+def structure_from_fingerprint(fingerprint: tuple[object, ...]) -> StackedQPStructure:
+    """Rebuild the structure a fingerprint identifies.
+
+    A fingerprint names every input :func:`build_qp_structure` reads —
+    dimensions, horizon, elastic and sparsify flags, server size and the
+    raw bytes of the ``float64`` reconfiguration weights and SLA matrix —
+    so the rebuild is bit for bit the structure that produced it.  This is
+    what lets a pickled :class:`~repro.core.dspp.DSPPWorkspace` store the
+    fingerprint instead of ``P``, ``A`` and the block view.
+
+    Raises:
+        ValueError: if the fingerprint does not describe a valid instance,
+            or the rebuilt structure's fingerprint differs from it (for
+            example, weights that were not ``float64``).
+    """
+    L, V, T, elastic, size, recon_bytes, sla_bytes, sparsify, _mask = fingerprint
+    assert isinstance(L, int) and isinstance(V, int) and isinstance(T, int)
+    assert isinstance(recon_bytes, bytes) and isinstance(sla_bytes, bytes)
+    assert isinstance(size, float)
+    instance = DSPPInstance(
+        datacenters=tuple(str(l) for l in range(L)),
+        locations=tuple(str(v) for v in range(V)),
+        sla_coefficients=np.frombuffer(sla_bytes).reshape(L, V).copy(),
+        reconfiguration_weights=np.frombuffer(recon_bytes).copy(),
+        capacities=np.ones(L),
+        initial_state=np.zeros((L, V)),
+        server_size=size,
+    )
+    structure = build_qp_structure(
+        instance, T, elastic=bool(elastic), sparsify=bool(sparsify)
+    )
+    if structure.fingerprint != fingerprint:
+        raise ValueError("the fingerprint does not round-trip through a rebuild")
+    # Keep the caller's fingerprint object: an unpickled one shares its
+    # bytes with the instance's memoized structure key, and a re-pickle
+    # must share them the same way.
+    return replace(structure, fingerprint=fingerprint)
 
 
 def resolve_sparsify(instance: DSPPInstance, mode: str) -> bool:

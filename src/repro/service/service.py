@@ -7,11 +7,17 @@ controller → router → metrics) — with the degradation ladder as the
 kernel's plan hook, and wraps every period in three robustness layers:
 
 1. **Checkpoint/restore** — at configurable period boundaries the full
-   controller state (workspace caches, predictor histories, router
-   allocation, metrics, fault-injector RNG, degradation log) is written
-   through :mod:`repro.service.checkpoint`.  ``kill -9`` at any point
-   followed by :meth:`PlacementService.restore` resumes a trajectory
-   *bitwise identical* to the uninterrupted run — the
+   controller state is written through :mod:`repro.service.checkpoint`,
+   in three parts.  The scenario and config go into the directory's base
+   file once.  The new tails of every append-only list (trajectory,
+   routing decisions, terminal rungs, degradation log, monitoring
+   records, predictor histories, metrics) are appended to the journal.
+   A small generation pickles the rest: the solver workspace's true
+   state, router allocation, fault-injector RNG and the references to
+   the other two parts.  All of it happens inside the one
+   :func:`~repro.service.checkpoint.write_checkpoint` call per period.
+   ``kill -9`` at any point followed by :meth:`PlacementService.restore`
+   resumes a trajectory *bitwise identical* to the uninterrupted run — the
    ``service_crash_recovery`` check in :mod:`repro.verify` fuzzes exactly
    this property.
 2. **Degradation ladder** — a misbehaving solve descends
@@ -40,7 +46,7 @@ from repro.core.dspp import DSPPInfeasibleError
 from repro.prediction.ar import ARPredictor
 from repro.prediction.naive import LastValuePredictor
 from repro.routing.router import RoutingDecision
-from repro.service.checkpoint import load_latest, write_checkpoint
+from repro.service.checkpoint import CheckpointSeries, load_latest, write_checkpoint
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.ladder import LADDER_RUNGS, DegradationLog, LadderConfig
 from repro.simulation.engine import RoutedPart, SimulationResult
@@ -132,8 +138,8 @@ class PlacementService:
     """Resident, checkpointed, fault-tolerant placement control loop.
 
     Args:
-        scenario: the setting to run (pickled into every checkpoint, so a
-            restore is fully self-contained).
+        scenario: the setting to run (written into the checkpoint
+            directory's base file, so a restore is fully self-contained).
         config: service configuration.
         checkpoint_dir: where generations are written (``None``: the run
             is not checkpointed).
@@ -171,6 +177,7 @@ class PlacementService:
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
         self._terminal_rungs: list[str] = []
         self._loop = self._closed_loop([], [], [])
+        self._series = CheckpointSeries()
 
     def _closed_loop(
         self,
@@ -205,16 +212,42 @@ class PlacementService:
             "scenario": self.scenario,
             "config": self.config,
             "controller": self.controller,
-            "monitoring": self.routed.monitoring,
-            "router": self.routed.router,
-            "metrics": self.routed.metrics,
+            "routed": self.routed,
             "injector": self.injector,
-            "period": self.period,
-            "states": list(self._loop.states),
-            "controls": list(self._loop.controls),
-            "decisions": list(self._loop.decisions),
-            "terminal_rungs": list(self._terminal_rungs),
-            "log_events": self.log.events,
+            "states": self._loop.states,
+            "controls": self._loop.controls,
+            "decisions": self._loop.decisions,
+            "terminal_rungs": self._terminal_rungs,
+            "log": self.log,
+        }
+
+    def _base(self) -> dict[str, Any]:
+        """The immutable objects, written once per checkpoint directory."""
+        return {
+            "scenario": self.scenario,
+            "config": self.config,
+            "instance": self.scenario.instance,
+        }
+
+    def _journaled_lists(self) -> dict[str, list[Any]]:
+        """Every append-only list the snapshot reaches: checkpoints append
+        their new tails to the journal instead of re-pickling them."""
+        controller, routed = self.controller, self.routed
+        metrics = routed.metrics
+        return {
+            "states": self._loop.states,
+            "controls": self._loop.controls,
+            "decisions": self._loop.decisions,
+            "terminal_rungs": self._terminal_rungs,
+            "log": self.log._events,
+            "monitoring": routed.monitoring._records,
+            "demand_history": controller.demand_predictor._history,
+            "price_history": controller.price_predictor._history,
+            "allocation_costs": metrics.allocation_costs,
+            "reconfiguration_costs": metrics.reconfiguration_costs,
+            "reconfiguration_magnitudes": metrics.reconfiguration_magnitudes,
+            "unserved": metrics.unserved,
+            "violation_flags": metrics.violation_flags,
         }
 
     def checkpoint(self) -> Path:
@@ -230,6 +263,9 @@ class PlacementService:
             self.period,
             self._snapshot(),
             keep=self.config.keep_checkpoints,
+            base=self._base(),
+            journal=self._journaled_lists(),
+            series=self._series,
         )
         # Fault injection: damage the generation just written (the
         # injector state saved *inside* it predates the damage, so a
@@ -257,23 +293,20 @@ class PlacementService:
             CheckpointNotFoundError: nothing loadable in the directory.
             CheckpointVersionError: incompatible checkpoint format.
         """
-        snapshot, path, skipped = load_latest(checkpoint_dir)
+        snapshot, path, skipped, series = load_latest(checkpoint_dir)
         service = cls.__new__(cls)
         service.scenario = snapshot["scenario"]
         service.config = snapshot["config"]
         service.checkpoint_dir = Path(checkpoint_dir)
         service.controller = snapshot["controller"]
-        service.routed = RoutedPart(
-            snapshot["monitoring"], snapshot["router"], snapshot["metrics"]
-        )
+        service.routed = snapshot["routed"]
         service.injector = snapshot["injector"]
-        service._terminal_rungs = list(snapshot["terminal_rungs"])
+        service._terminal_rungs = snapshot["terminal_rungs"]
         service._loop = service._closed_loop(
-            list(snapshot["states"]),
-            list(snapshot["controls"]),
-            list(snapshot["decisions"]),
+            snapshot["states"], snapshot["controls"], snapshot["decisions"]
         )
-        service.log = DegradationLog(snapshot["log_events"])
+        service.log = snapshot["log"]
+        service._series = series
         for corrupt in skipped:
             service.log.record(
                 service.period,

@@ -117,8 +117,18 @@ class QPProblem:
             raise ValueError("l and u must match the row count of A")
         if np.any(l > u):
             raise ValueError("infeasible bounds: some l[i] > u[i]")
-        P = ((P + P.T) * 0.5).tocsc()
-        return QPProblem(P=P, q=q, A=A, l=l, u=u)
+        return QPProblem(P=_symmetrize(P), q=q, A=A, l=l, u=u)
+
+    @staticmethod
+    @check_shapes("P:(n,n)", "A:(m,n)")
+    def build_matrices(
+        P: MatrixLike, A: MatrixLike
+    ) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+        """The ``(P, A)`` pair :meth:`build` stores for valid inputs."""
+        return (
+            _symmetrize(sp.csc_matrix(P, dtype=float)),
+            sp.csc_matrix(A, dtype=float),
+        )
 
     @property
     def num_variables(self) -> int:
@@ -273,6 +283,35 @@ class _Scaling:
     def scale_y(self, y: np.ndarray) -> np.ndarray:
         return self.cost * y / self.e
 
+    def apply(self, problem: QPProblem) -> QPProblem:
+        """The scaled problem ``(c D P D, c D q, E A D, E l, E u)``.
+
+        Equilibration builds its result through this method, so applying a
+        stored scaling to the original problem reproduces the scaled
+        problem bit for bit.
+        """
+        d, e, cost = self.d, self.e, self.cost
+        p_csc = problem.P.tocsc()
+        p_cols = np.repeat(np.arange(p_csc.shape[1]), np.diff(p_csc.indptr))
+        p_scaled = p_csc.copy()
+        p_scaled.data = cost * (d[p_csc.indices] * p_csc.data * d[p_cols])
+        a_csc = problem.A.tocsc()
+        a_cols = np.repeat(np.arange(a_csc.shape[1]), np.diff(a_csc.indptr))
+        a_scaled = a_csc.copy()
+        a_scaled.data = e[a_csc.indices] * a_csc.data * d[a_cols]
+        return QPProblem(
+            P=p_scaled,
+            q=cost * (d * problem.q),
+            A=a_scaled,
+            l=e * problem.l,
+            u=e * problem.u,
+        )
+
+
+def _symmetrize(P: sp.csc_matrix) -> sp.csc_matrix:
+    """The symmetric part of a square CSC matrix."""
+    return ((P + P.T) * 0.5).tocsc()
+
 
 def _segment_max(data: np.ndarray, indptr: np.ndarray, size: int) -> np.ndarray:
     """Per-segment max of nonnegative ``data`` grouped by ``indptr``.
@@ -319,12 +358,10 @@ def _ruiz_equilibrate(problem: QPProblem, iterations: int) -> tuple[QPProblem, _
     p_abs = np.abs(p_csc.data)
     p_rows = p_csc.indices
     p_indptr = p_csc.indptr
-    p_cols = np.repeat(np.arange(n), np.diff(p_indptr))
     a_csc = problem.A.tocsc()
     a_abs = np.abs(a_csc.data)
     a_rows = a_csc.indices
     a_indptr = a_csc.indptr
-    a_cols = np.repeat(np.arange(n), np.diff(a_indptr))
     a_csr = problem.A.tocsr()
     ar_abs = np.abs(a_csr.data)
     ar_cols = a_csr.indices
@@ -359,14 +396,8 @@ def _ruiz_equilibrate(problem: QPProblem, iterations: int) -> tuple[QPProblem, _
         gamma = min(max(gamma, 1e-8), 1e8)
         cost *= gamma
 
-    p_scaled = p_csc.copy()
-    p_scaled.data = cost * (d[p_rows] * p_csc.data * d[p_cols])
-    a_scaled = a_csc.copy()
-    a_scaled.data = e[a_rows] * a_csc.data * d[a_cols]
-    scaled = QPProblem(
-        P=p_scaled, q=cost * (d * q0), A=a_scaled, l=e * problem.l, u=e * problem.u
-    )
-    return scaled, _Scaling(d=d, e=e, cost=cost)
+    scaling = _Scaling(d=d, e=e, cost=cost)
+    return scaling.apply(problem), scaling
 
 
 def _identity_scaling(n: int, m: int) -> _Scaling:

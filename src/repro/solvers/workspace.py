@@ -150,42 +150,53 @@ class QPWorkspace:
     def __getstate__(self) -> dict[str, Any]:
         """Pickle support for checkpoint/restore (see ``repro.service``).
 
-        The ``SuperLU`` factorization is not picklable, and the scratch
-        fields (``_failed_masks``, ``_early_polished``) are per-solve
-        state whose serialized bytes would depend on hash randomization.
-        The snapshot therefore keeps only *logical* state: the cached
-        factorization is dropped (it is a deterministic function of
-        ``_work``/``_scaling``/``_rho_vec`` and is rebuilt on restore) and
-        the cached polish system is reduced to its active-set masks.  Two
-        snapshots of the same logical state are byte-identical.
+        The snapshot keeps only *logical* state: the original problem, the
+        Ruiz scaling, the rho vector, the iterates and the cached polish
+        system's active-set masks.  Everything else is a deterministic
+        function of those and is rebuilt by :meth:`__setstate__`: the
+        scaled problem ``_work`` and the equality mask, the KKT
+        factorization (a ``SuperLU`` is not picklable anyway) and the
+        polish system.  The per-solve scratch fields (``_failed_masks``,
+        ``_early_polished``) are dropped; their serialized bytes would
+        depend on hash randomization.  Two snapshots of the same logical
+        state are byte-identical.
         """
         state = dict(self.__dict__)
-        state["_lu"] = None
-        system = state["_polish_system"]
-        state["_polish_system"] = None
+        system = state.pop("_polish_system")
         state["_polish_masks"] = (
             None
             if system is None
             else (system.active_lower.copy(), system.active_upper.copy())
         )
-        state["_failed_masks"] = set()
-        state["_early_polished"] = None
+        for derived in ("_work", "_equality", "_lu", "_early_polished", "_failed_masks"):
+            del state[derived]
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        """Rebuild the dropped factorizations from the restored state.
+        """Rebuild the derived data from the restored logical state.
 
-        Both rebuilds are bit-deterministic on the same machine: the KKT
-        factorization depends only on the stored scaled problem, sigma and
-        rho vector, and the active-set system depends only on ``P``/``A``
-        plus the stored masks.  The factorization counters are restored to
-        their checkpointed values — rehydration recomputes cached work, it
-        does not perform new work — so snapshot → restore → snapshot
-        round-trips byte-identically.
+        Every rebuild is bit-deterministic on the same machine: the scaled
+        problem applies the stored scaling exactly as equilibration did,
+        the KKT factorization depends only on the scaled problem, sigma and
+        the rho vector, and the active-set system only on ``P``/``A`` plus
+        the stored masks.  The factorization counters are restored to their
+        checkpointed values — rehydration recomputes cached work, it does
+        not perform new work — so snapshot → restore → snapshot round-trips
+        byte-identically.
         """
+        state = dict(state)
         masks = state.pop("_polish_masks", None)
         self.__dict__.update(state)
-        if self._problem is not None:
+        self._work = None
+        self._equality = None
+        self._lu = None
+        self._early_polished = None
+        self._polish_system = None
+        self._failed_masks = set()
+        problem, scaling = self._problem, self._scaling
+        if problem is not None and scaling is not None:
+            self._work = scaling.apply(problem)
+            self._equality = problem.l == problem.u
             counters = (self.num_factorizations, self.num_equilibrations)
             self._factorize_current()
             self.num_factorizations, self.num_equilibrations = counters

@@ -53,6 +53,7 @@ The registered properties:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -89,11 +90,13 @@ from repro.routing.optimal import optimal_assignment
 from repro.routing.proportional import proportional_assignment
 from repro.service import (
     LADDER_RUNGS,
+    DegradationEvent,
     PlacementService,
     ServiceConfig,
     make_fault_plan,
 )
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.metrics import RunSummary
 from repro.simulation.queue_sim import effective_sample_size
 from repro.simulation.scenario import Scenario, build_small_scenario
 from repro.solvers.qp import QPProblem, QPSettings, QPStatus, solve_qp
@@ -1282,6 +1285,39 @@ def prop_events_deterministic_replay(
     return findings
 
 
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, dtype and bytes (NaN payloads included)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_summary(a: RunSummary, b: RunSummary) -> bool:
+    """Field-wise bitwise equality of two run summaries (NaN == NaN)."""
+    return all(
+        np.float64(x).tobytes() == np.float64(y).tobytes()
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+def _comparable_events(events: tuple[DegradationEvent, ...]) -> list[tuple[object, ...]]:
+    """Degradation events as compared across a restore.
+
+    A ``checkpoint_corrupted`` detail names a byte offset in the damaged
+    file, and a resumed run's generations legitimately differ from the
+    uninterrupted run's (they carry the restore bookkeeping), so only that
+    detail is left out.
+    """
+    return [
+        (
+            event.period,
+            event.rung,
+            event.outcome,
+            "" if event.outcome == "checkpoint_corrupted" else event.detail,
+            event.attempt,
+        )
+        for event in events
+    ]
+
+
 def prop_service_crash_recovery(
     rng: np.random.Generator, tier: ScaleTier
 ) -> list[Discrepancy]:
@@ -1291,11 +1327,14 @@ def prop_service_crash_recovery(
     over the same scenario and (optionally) the same deterministic fault
     plan: once uninterrupted, once abandoned mid-horizon and rebuilt via
     :meth:`~repro.service.PlacementService.restore` from its checkpoint
-    directory — exactly what a ``kill -9`` plus restart does.  The two
-    trajectories (states *and* controls) must be bitwise identical, the
-    per-period terminal ladder rungs must agree, and every period —
-    faulted or not — must terminate at a known rung (the ladder never
-    wedges: rung 3 performs no solve).
+    directory — exactly what a ``kill -9`` plus restart does.  Everything
+    the checkpoint carries must come back bitwise: states, controls,
+    routing assignments, the metrics summary, the monitoring demand and
+    price histories, the per-period terminal ladder rungs and the
+    degradation log (less the resumed run's own ``restored`` and
+    ``checkpoint_fallback`` events).  Every period — faulted or not — must
+    terminate at a known rung (the ladder never wedges: rung 3 performs no
+    solve).
     """
     num_periods = int(rng.integers(4, 6 if tier.max_horizon <= 6 else 9))
     scenario = build_small_scenario(
@@ -1359,6 +1398,58 @@ def prop_service_crash_recovery(
                 "service_crash_recovery",
                 f"terminal ladder rungs diverged: clean={clean.terminal_rungs} "
                 f"resumed={resumed.terminal_rungs}",
+                1.0,
+            )
+        )
+    if len(clean.routing) != len(resumed.routing) or not all(
+        _bitwise_equal(a.assignment, b.assignment)
+        for a, b in zip(clean.routing, resumed.routing)
+    ):
+        findings.append(
+            Discrepancy(
+                "service_crash_recovery",
+                f"routing assignments after restore at period {crash_at} are "
+                "not bitwise identical to the uninterrupted run",
+                1.0,
+            )
+        )
+    if not _same_summary(clean.summary, resumed.summary):
+        findings.append(
+            Discrepancy(
+                "service_crash_recovery",
+                f"run summary diverged: clean={clean.summary} "
+                f"resumed={resumed.summary}",
+                1.0,
+            )
+        )
+    for history in ("demand_history", "price_history"):
+        if not _bitwise_equal(
+            getattr(clean.monitoring, history)(),
+            getattr(resumed.monitoring, history)(),
+        ):
+            findings.append(
+                Discrepancy(
+                    "service_crash_recovery",
+                    f"monitoring {history} after restore at period {crash_at} "
+                    "is not bitwise identical to the uninterrupted run",
+                    1.0,
+                )
+            )
+    resumed_events = tuple(
+        event
+        for event in resumed.log.events
+        if not (
+            event.rung == "service"
+            and event.outcome in ("restored", "checkpoint_fallback")
+        )
+    )
+    if _comparable_events(clean.log.events) != _comparable_events(resumed_events):
+        findings.append(
+            Discrepancy(
+                "service_crash_recovery",
+                f"degradation log diverged after restore at period {crash_at}: "
+                f"clean has {len(clean.log)} events, resumed "
+                f"{len(resumed_events)} (less restore bookkeeping)",
                 1.0,
             )
         )

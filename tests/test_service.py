@@ -26,7 +26,7 @@ from repro.service import (
     make_fault_plan,
 )
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.scenario import build_small_scenario
+from repro.simulation.scenario import build_paper_scenario, build_small_scenario
 
 
 def _controller(instance, **config_kwargs):
@@ -158,6 +158,33 @@ class TestServiceLoop:
         result = resumed.run()
         assert result is not None
         assert np.array_equal(clean.states, result.states)
+
+
+class TestPaperScaleCrashRecovery:
+    """Kill and restore on the paper's 4 x 24, W=6 scenario."""
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_restore_at_paper_scale_is_bitwise(self, tmp_path, interval):
+        scenario = build_paper_scenario(num_periods=31, seed=4)
+        config = ServiceConfig(window=6, checkpoint_interval=interval)
+        clean = PlacementService(
+            scenario, config, checkpoint_dir=tmp_path / "clean"
+        ).run()
+        assert clean is not None
+        crashed = PlacementService(scenario, config, checkpoint_dir=tmp_path / "crash")
+        assert crashed.run(until=17) is None
+        del crashed
+        resumed = PlacementService.restore(tmp_path / "crash")
+        assert resumed.period == 17 - 17 % interval
+        result = resumed.run()
+        assert result is not None
+        assert np.array_equal(clean.states, result.states)
+        assert np.array_equal(clean.controls, result.controls)
+        assert len(clean.routing) == len(result.routing) == 30
+        for a, b in zip(clean.routing, result.routing):
+            assert np.array_equal(a.assignment, b.assignment)
+        assert result.summary == clean.summary
+        assert result.terminal_rungs == clean.terminal_rungs
 
 
 class TestDegradationLadder:
