@@ -3,10 +3,9 @@
 Times the MPC hot path at small / paper / large / xlarge / continental
 scale:
 
-* **cold** — the seed behaviour: every receding-horizon step rebuilds the
-  stacked QP, re-equilibrates, re-factorizes the KKT system and solves
-  (warm-started from the previous solution vector, as ``MPCController``
-  always did);
+* **cold** — every receding-horizon step solves on a fresh workspace:
+  rebuild the stacked QP, re-equilibrate, re-factorize the KKT system and
+  run ADMM from zero;
 * **workspace** — the persistent :class:`repro.core.dspp.DSPPWorkspace`
   path: one setup, then vector-only updates against the cached Ruiz
   scaling + KKT factorization, ADMM seeded from the stored iterates;
@@ -170,9 +169,10 @@ def bench_mpc(name: str, num_steps: int, seed: int = 0) -> dict[str, object]:
 
     Both paths solve the *identical* problem at every step (the state is
     advanced with the cold solution), so the per-step objectives are
-    directly comparable: two eps-optimal answers to the same QP.  Cold is
-    the seed MPC behaviour — rebuild + re-equilibrate + re-factorize each
-    period, warm-started from the previous solution vector.
+    directly comparable: two eps-optimal answers to the same QP.  The two
+    differ in one setting only: cold solves each period on a fresh
+    workspace (rebuild + re-equilibrate + re-factorize, ADMM from zero),
+    warm keeps one workspace across the sequence.
     """
     L, V, W = SCALES[name]
     instance = _instance(L, V, seed, usable_density=SCALE_DENSITY[name])
@@ -182,22 +182,18 @@ def bench_mpc(name: str, num_steps: int, seed: int = 0) -> dict[str, object]:
     cold_times: list[float] = []
     warm_times: list[float] = []
     objective_rel_diff: list[float] = []
-    prev_qp = None
     for k in range(num_steps):
         instance_now = instance.with_initial_state(state)
         window_demand = demand[:, k : k + W]
         window_prices = prices[:, k : k + W]
         start = time.perf_counter()
-        cold = solve_dspp(
-            instance_now, window_demand, window_prices, warm_start=prev_qp
-        )
+        cold = solve_dspp(instance_now, window_demand, window_prices)
         cold_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         warm = solve_dspp(
             instance_now, window_demand, window_prices, workspace=workspace
         )
         warm_times.append(time.perf_counter() - start)
-        prev_qp = cold.qp
         denom = max(abs(cold.objective), 1e-12)
         objective_rel_diff.append(abs(warm.objective - cold.objective) / denom)
         state = np.maximum(state + cold.first_control, 0.0)

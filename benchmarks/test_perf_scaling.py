@@ -9,10 +9,12 @@ stable timing distributions.  They track the three hot paths:
 * one best-response round of the game.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.dspp import solve_dspp
+from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.game.best_response import BestResponseConfig, compute_equilibrium
 from repro.game.players import random_providers
@@ -51,14 +53,19 @@ def test_perf_dspp_solve(benchmark, L, V, T):
 
 
 def test_perf_warm_started_resolve(benchmark):
-    """The MPC inner loop: re-solve a slightly perturbed horizon."""
+    """The MPC inner loop: re-solve a slightly perturbed horizon on one
+    workspace (each call alternates the forecast, so no call repeats the
+    previous problem)."""
     instance = _instance(4, 24)
     demand, prices = _traces(4, 24, 6)
-    base = solve_dspp(instance, demand, prices)
+    workspace = DSPPWorkspace()
+    first = solve_dspp(instance, demand, prices, workspace=workspace)
+    assert first.qp.is_optimal
+    scales = itertools.cycle((1.01, 1.0))
 
     def _resolve():
         return solve_dspp(
-            instance, demand * 1.01, prices, warm_start=base.qp
+            instance, demand * next(scales), prices, workspace=workspace
         )
 
     result = benchmark(_resolve)

@@ -118,6 +118,12 @@ class ClosedLoop:
         K = demand.shape[1]
         if prices.shape != (L, K):
             raise ValueError(f"prices must be ({L}, {K}), got {prices.shape}")
+        if capacities is not None:
+            capacities = np.asarray(capacities, dtype=float)
+            if capacities.shape != (K, L):
+                raise ValueError(
+                    f"capacities must be ({K}, {L}), got {capacities.shape}"
+                )
         self.controller, self.demand, self.prices = controller, demand, prices
         self.capacities, self.routed = capacities, routed
         self.initial_state = controller.state

@@ -7,6 +7,14 @@ At the beginning of each control period ``k`` the controller:
 3. solves the DSPP over that window starting from the current state, and
 4. applies only the first move ``u_{k|k}`` (eq. 2), discarding the rest.
 
+Every solve runs on one persistent :class:`~repro.core.dspp.DSPPWorkspace`
+held for the controller's lifetime: consecutive periods share the Ruiz
+scaling and the KKT factorization (a vector-only ``update()``), and each
+solve starts from the previous one's iterates.  Capacity swaps via
+:meth:`MPCController.set_capacities` stay on this fast path; only a genuine
+structure change (horizon override, SLA or weight change) rebuilds.  See
+``docs/PERFORMANCE.md``.
+
 The controller is deliberately ignorant of ground truth: everything it
 knows arrives through :meth:`MPCController.step`'s observation arguments,
 which makes it directly reusable inside the multi-provider game (where the
@@ -24,7 +32,7 @@ from repro.contracts import check_shapes
 from repro.core.dspp import DSPPSolution, DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.prediction.base import Predictor
-from repro.solvers.qp import QPSettings, QPSolution
+from repro.solvers.qp import QPSettings
 
 __all__ = [
     "MPCConfig",
@@ -51,21 +59,12 @@ class MPCConfig:
     Attributes:
         window: prediction horizon ``W`` (>= 1).
         qp_settings: solver settings forwarded to each DSPP solve.
-        warm_start: reuse each period's QP solution to seed the next solve
-            (valid because consecutive windows have identical shape).
         slack_penalty: if set, each horizon solve uses the *elastic* DSPP
             (demand shortfall allowed at this per-unit cost).  This keeps
             the controller solvable when forecasts exceed what capacity or
             ramping can serve, and lets it spread large ramps over several
             periods — the behaviour behind the paper's horizon-length
             studies (Figures 9 and 10).
-        reuse_workspace: keep one :class:`~repro.core.dspp.DSPPWorkspace`
-            alive for the controller's lifetime, so consecutive periods
-            share the Ruiz scaling and the KKT factorization (a vector-only
-            ``update()`` instead of a full re-factorization).  Capacity
-            swaps via :meth:`MPCController.set_capacities` stay on the fast
-            path; only a genuine structure change (horizon override, SLA or
-            weight change) rebuilds.  See ``docs/PERFORMANCE.md``.
         imputation: what to do with non-finite telemetry.  ``"strict"``
             (default) raises :class:`NonFiniteObservationError` at the
             period that saw the bad sample; ``"carry_forward"`` replaces
@@ -78,9 +77,7 @@ class MPCConfig:
 
     window: int = 3
     qp_settings: QPSettings | None = None
-    warm_start: bool = True
     slack_penalty: float | None = None
-    reuse_workspace: bool = False
     imputation: str = "strict"
 
     def __post_init__(self) -> None:
@@ -166,8 +163,7 @@ class MPCController:
         self.config = config or MPCConfig()
         self._state = instance.initial_state.copy()
         self._period = 0
-        self._last_qp: QPSolution | None = None
-        self._workspace: DSPPWorkspace | None = None
+        self._workspace = DSPPWorkspace()
         # Last finite value seen per series (the carry-forward source) and
         # the imputation masks of the most recent observe(), consumed by
         # the next plan()/hold().
@@ -204,15 +200,13 @@ class MPCController:
             else self.instance.initial_state.copy()
         )
         self._period = 0
-        self._last_qp = None
         self._last_finite_demand = None
         self._last_finite_prices = None
         self._imputed_demand = None
         self._imputed_prices = None
-        if self._workspace is not None:
-            # The structure fingerprint would survive a reset unchanged, but
-            # the stored ADMM iterates belong to the abandoned run.
-            self._workspace.invalidate()
+        # The structure fingerprint would survive a reset unchanged, but the
+        # stored ADMM iterates belong to the abandoned run.
+        self._workspace.invalidate()
         self.demand_predictor.reset()
         self.price_predictor.reset()
 
@@ -292,7 +286,6 @@ class MPCController:
         *,
         settings: QPSettings | None = None,
         cold: bool = False,
-        use_workspace: bool = True,
     ) -> MPCStep:
         """Forecast, solve the horizon DSPP and apply ``u_{k|k}``.
 
@@ -300,15 +293,12 @@ class MPCController:
             horizon: override of the window length for this step (used to
                 clamp near the end of a finite run).
             settings: per-call override of the solver settings (e.g. the
-                degradation ladder's ``kkt_backend="sparse"`` rung); the
-                persistent workspace transparently rebuilds on a settings
-                change.
+                degradation ladder's ``kkt_backend="sparse"`` rung).  The
+                override solves on a throwaway workspace and leaves the
+                persistent one untouched.
             cold: drop the persistent workspace's cached factorization and
-                the stored warm start before solving (a from-scratch
+                stored iterates before solving (a from-scratch
                 re-factorization of the same problem).
-            use_workspace: ``False`` bypasses the persistent workspace and
-                warm start entirely for this call (a one-shot solve that
-                shares no cached state).
 
         Returns:
             The :class:`MPCStep`; the controller's internal state advances
@@ -324,41 +314,21 @@ class MPCController:
         predicted_prices = self.price_predictor.predict(window)
 
         if cold:
-            if self._workspace is not None:
-                self._workspace.invalidate()
-            self._last_qp = None
+            self._workspace.invalidate()
 
         # Prime the memoized structure key on the base instance (a no-op
         # after the first step) so every derived per-period copy inherits
         # it: the receding-horizon loop hashes the SLA/weight arrays once,
         # not once per period.
         self.instance.structure_key()
-        instance_now = self.instance.with_initial_state(self._state)
-        workspace: DSPPWorkspace | None = None
-        if self.config.reuse_workspace and use_workspace:
-            if self._workspace is None:
-                self._workspace = DSPPWorkspace()
-            workspace = self._workspace
-        # With a persistent workspace the previous solve's (scaled) iterates
-        # are already stored inside it, which warm-starts strictly better
-        # than re-seeding from the unscaled solution vector.
-        warm = (
-            self._last_qp
-            if self.config.warm_start and workspace is None and use_workspace
-            else None
-        )
         solution = solve_dspp(
-            instance_now,
+            self.instance.with_initial_state(self._state),
             predicted_demand,
             predicted_prices,
             settings=settings if settings is not None else self.config.qp_settings,
-            warm_start=warm,
             demand_slack_penalty=self.config.slack_penalty,
-            workspace=workspace,
-            reuse_iterates=self.config.warm_start,
+            workspace=self._workspace if settings is None else None,
         )
-        if use_workspace:
-            self._last_qp = solution.qp
 
         control = solution.first_control
         self._state = np.maximum(self._state + control, 0.0)

@@ -1,8 +1,9 @@
 """Exact finite-horizon solution of the DSPP (Section IV-D).
 
-``solve_dspp`` assembles the stacked sparse QP and hands it to the ADMM
-solver; the result is unpacked into state/control trajectories, audited
-costs and the capacity duals that Algorithm 2's coordinator needs.
+``solve_dspp`` assembles the stacked sparse QP on a :class:`DSPPWorkspace`
+(the caller's, or a throwaway one) and hands it to the ADMM solver; the
+result is unpacked into state/control trajectories, audited costs and the
+capacity duals that Algorithm 2's coordinator needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.matrices import (
     structure_from_fingerprint,
 )
 from repro.core.state import Trajectory
-from repro.solvers.qp import QPProblem, QPSettings, QPSolution, QPStatus, solve_qp
+from repro.solvers.qp import QPProblem, QPSettings, QPSolution, QPStatus
 from repro.solvers.workspace import QPWorkspace
 
 __all__ = ["DSPPInfeasibleError", "DSPPSolution", "DSPPWorkspace", "solve_dspp"]
@@ -48,8 +49,10 @@ class DSPPWorkspace:
     factorization), so each subsequent solve is a vector-only ``update()``
     plus a warm-started ADMM run.
 
-    Pass one to :func:`solve_dspp` via its ``workspace=`` argument.  The
-    workspace re-validates the structure fingerprint on every solve and
+    Every DSPP solve runs on one: pass it to :func:`solve_dspp` via its
+    ``workspace=`` argument to keep it across solves (without one,
+    :func:`solve_dspp` uses a throwaway workspace).  The workspace
+    re-validates the structure fingerprint on every solve and
     transparently rebuilds itself when the structure genuinely changed
     (different horizon, SLA matrix, reconfiguration weights, server size or
     elastic mode) — capacity swaps and state advances never trigger a
@@ -123,9 +126,7 @@ class DSPPWorkspace:
         demand: np.ndarray,
         prices: np.ndarray,
         settings: QPSettings | None = None,
-        warm_start: QPSolution | None = None,
         demand_slack_penalty: float | None = None,
-        reuse_iterates: bool = True,
     ) -> tuple[StackedQP, QPSolution]:
         """Assemble (incrementally) and solve one stacked DSPP QP.
 
@@ -139,10 +140,10 @@ class DSPPWorkspace:
             )
         T = demand.shape[1]
         elastic = demand_slack_penalty is not None
-        # The workspace hot path enables verified early polishing by
-        # default: ADMM may hand over to the exact active-set solve as soon
-        # as the polished result meets the *strict* tolerances, so accuracy
-        # is unchanged.  Caller-provided settings are honoured verbatim.
+        # DSPP solves enable verified early polishing by default: ADMM may
+        # hand over to the exact active-set solve as soon as the polished
+        # result meets the *strict* tolerances, so accuracy is unchanged.
+        # Caller-provided settings are honoured verbatim.
         effective_settings = (
             settings if settings is not None else QPSettings(early_polish=True)
         )
@@ -180,9 +181,7 @@ class DSPPWorkspace:
                 settings=effective_settings,
                 blocks=structure.blocks,
             )
-        qp_solution = self._qp.solve(
-            warm_start=warm_start, reuse_iterates=reuse_iterates
-        )
+        qp_solution = self._qp.solve()
         stacked = StackedQP(
             P=structure.P,
             q=q,
@@ -243,10 +242,8 @@ def solve_dspp(
     demand: np.ndarray,
     prices: np.ndarray,
     settings: QPSettings | None = None,
-    warm_start: QPSolution | None = None,
     demand_slack_penalty: float | None = None,
     workspace: DSPPWorkspace | None = None,
-    reuse_iterates: bool = True,
 ) -> DSPPSolution:
     """Solve the DSPP for ``T`` future periods.
 
@@ -254,21 +251,18 @@ def solve_dspp(
         instance: static problem data, including the current state ``x_0``.
         demand: forecast demand for periods ``1..T``, shape ``(V, T)``.
         prices: per-server prices for periods ``1..T``, shape ``(L, T)``.
-        settings: QP solver settings (defaults are tuned for DSPP scale).
-        warm_start: previous same-shaped QP solution (receding-horizon
-            solves are nearly identical period over period, so warm starts
-            cut iterations dramatically).
+        settings: QP solver settings (default: ``QPSettings(early_polish=True)``,
+            see :meth:`DSPPWorkspace.solve`).
         demand_slack_penalty: if given, solve the *elastic* variant where
             demand shortfall is allowed at this linear per-unit penalty
             (used by the best-response game dynamics; see
             :mod:`repro.core.matrices`).
         workspace: a :class:`DSPPWorkspace` to reuse across solves; caches
-            the stacked structure, the Ruiz scaling and the KKT
-            factorization so repeat solves that differ only in forecasts,
-            state or capacities pay a vector-only update.
-        reuse_iterates: when solving through a workspace and no explicit
-            ``warm_start`` is given, seed ADMM from the previous solve's
-            iterates (ignored without a workspace).
+            the stacked structure, the Ruiz scaling, the KKT factorization
+            and the last iterates, so repeat solves that differ only in
+            forecasts, state or capacities pay a vector-only update and
+            start warm.  Without one the solve runs on a throwaway
+            workspace.
 
     Returns:
         The :class:`DSPPSolution`.
@@ -278,49 +272,13 @@ def solve_dspp(
             be served within capacity under the SLA).
         RuntimeError: if the solver fails to converge.
     """
-    if workspace is not None:
-        stacked, qp_solution = workspace.solve(
-            instance,
-            demand,
-            prices,
-            settings=settings,
-            warm_start=warm_start,
-            demand_slack_penalty=demand_slack_penalty,
-            reuse_iterates=reuse_iterates,
-        )
-    else:
-        elastic = demand_slack_penalty is not None
-        sparsify = resolve_sparsify(
-            instance, (settings or QPSettings()).sparsify_columns
-        )
-        structure = build_qp_structure(
-            instance, np.asarray(demand).shape[1], elastic=elastic, sparsify=sparsify
-        )
-        q, l, u = build_qp_vectors(
-            structure, instance, demand, prices, demand_slack_penalty=demand_slack_penalty
-        )
-        stacked = StackedQP(
-            P=structure.P,
-            q=q,
-            A=structure.A,
-            l=l,
-            u=u,
-            indexer=structure.indexer,
-            constant_cost=0.0,
-            demand_row_offset=structure.demand_row_offset,
-            capacity_row_offset=structure.capacity_row_offset,
-            nonneg_row_offset=structure.nonneg_row_offset,
-        )
-        qp_solution = solve_qp(
-            stacked.P,
-            stacked.q,
-            stacked.A,
-            stacked.l,
-            stacked.u,
-            settings=settings,
-            warm_start=warm_start,
-            blocks=structure.blocks,
-        )
+    stacked, qp_solution = (workspace or DSPPWorkspace()).solve(
+        instance,
+        demand,
+        prices,
+        settings=settings,
+        demand_slack_penalty=demand_slack_penalty,
+    )
     if qp_solution.status is QPStatus.PRIMAL_INFEASIBLE:
         raise DSPPInfeasibleError(
             "DSPP infeasible: forecast demand exceeds SLA-feasible capacity"

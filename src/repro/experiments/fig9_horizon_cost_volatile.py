@@ -121,11 +121,7 @@ def _run_fig9_task(spec: _Fig9TaskSpec) -> tuple[float, float, float]:
         instance,
         ARPredictor(spec.num_locations, order=spec.ar_order),
         ARPredictor(spec.num_datacenters, order=spec.ar_order),
-        MPCConfig(
-            window=spec.window,
-            slack_penalty=spec.slack_penalty,
-            reuse_workspace=True,
-        ),
+        MPCConfig(window=spec.window, slack_penalty=spec.slack_penalty),
     )
     result = run_closed_loop(controller, demand, prices)
     cost = result.total_cost + spec.slack_penalty * result.total_unmet_demand

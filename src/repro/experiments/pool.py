@@ -114,10 +114,6 @@ class PoolSettings:
             (``None``: each layer's defaults).
         slack_penalty: per-unit demand-shortfall penalty of the elastic
             sub-problems.
-        reuse_workspaces: keep one warm
-            :class:`~repro.core.dspp.DSPPWorkspace` per owned provider
-            for the lifetime of the pool (``False``: cold solves, the
-            pre-workspace behaviour).
         recv_timeout: seconds the coordinator waits for a worker's reply
             before declaring it dead (heartbeat window; generous — a
             healthy round is milliseconds).
@@ -131,7 +127,6 @@ class PoolSettings:
 
     qp_settings: QPSettings | None = None
     slack_penalty: float = 1e3
-    reuse_workspaces: bool = True
     recv_timeout: float = 60.0
     max_respawns: int = 1
     respawn_backoff: float = 0.05
@@ -194,11 +189,7 @@ class _Shard:
     ) -> None:
         self._owned = list(owned)
         self._settings = settings
-        self._workspaces: dict[int, DSPPWorkspace] = (
-            {index: DSPPWorkspace() for index, _ in self._owned}
-            if settings.reuse_workspaces
-            else {}
-        )
+        self._workspaces = {index: DSPPWorkspace() for index, _ in self._owned}
         # Per-provider problem overrides: (initial_state, demand, prices).
         # ``None`` components fall back to the provider's own data — the
         # full-trajectory semantics of ``compute_equilibrium``.
@@ -236,7 +227,7 @@ class _Shard:
                 provider.prices if prices is None else prices,
                 settings=self._settings.qp_settings,
                 demand_slack_penalty=self._settings.slack_penalty,
-                workspace=self._workspaces.get(index),
+                workspace=self._workspaces[index],
             )
             self._solutions[index] = solution
             reports.append(

@@ -52,13 +52,11 @@ class BestResponseConfig:
             elastic sub-problem; must dominate any plausible server price
             so shortfall is a last resort.
         qp_settings: solver settings for the sub-problems.
-        reuse_workspaces: keep one
-            :class:`~repro.core.dspp.DSPPWorkspace` per provider for the
-            whole coordination run.  Quota updates only move the capacity
-            bounds, so every round after the first is a vector-only
-            ``update()`` against the cached factorization.  Default on —
-            the cold path (``False``) exists for differential testing.
-            See ``docs/PERFORMANCE.md``.
+
+    Each provider keeps one :class:`~repro.core.dspp.DSPPWorkspace` for the
+    whole coordination run.  Quota updates only move the capacity bounds,
+    so every round after the first is a vector-only ``update()`` against
+    the cached factorization.  See ``docs/PERFORMANCE.md``.
     """
 
     epsilon: float = 0.05
@@ -66,7 +64,6 @@ class BestResponseConfig:
     max_iterations: int = 200
     slack_penalty: float = 1e3
     qp_settings: QPSettings | None = None
-    reuse_workspaces: bool = True
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -79,9 +76,7 @@ class BestResponseConfig:
     def pool_settings(self) -> PoolSettings:
         """The per-worker solver configuration this config induces."""
         return PoolSettings(
-            qp_settings=self.qp_settings,
-            slack_penalty=self.slack_penalty,
-            reuse_workspaces=self.reuse_workspaces,
+            qp_settings=self.qp_settings, slack_penalty=self.slack_penalty
         )
 
 

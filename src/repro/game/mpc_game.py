@@ -69,15 +69,13 @@ class MPCGameConfig:
             from realized observations (the deployable configuration);
             when ``None``, windows are read from the providers' own
             future trajectories (oracle — isolates the game dynamics).
-        reuse_workspaces: keep one warm
-            :class:`~repro.core.dspp.DSPPWorkspace` per provider for the
-            whole horizon.  Between rounds only the quota bounds move and
-            between periods only the state/window vectors move, so almost
-            every solve after a provider's first is a vector-only
-            ``update()`` against its cached factorization (the structure
-            rebuilds only when the window shrinks near the end of the
-            horizon).  Default on — the cold path (``False``) exists for
-            differential testing.  See ``docs/PERFORMANCE.md``.
+
+    Each provider keeps one warm :class:`~repro.core.dspp.DSPPWorkspace`
+    for the whole horizon.  Between rounds only the quota bounds move and
+    between periods only the state/window vectors move, so almost every
+    solve after a provider's first is a vector-only ``update()`` against
+    its cached factorization (the structure rebuilds only when the window
+    shrinks near the end of the horizon).  See ``docs/PERFORMANCE.md``.
     """
 
     window: int | tuple[int, ...] = 3
@@ -86,7 +84,6 @@ class MPCGameConfig:
     slack_penalty: float = 1e3
     qp_settings: QPSettings | None = None
     predictor_factory: PredictorFactory | None = None
-    reuse_workspaces: bool = True
 
     def __post_init__(self) -> None:
         windows = (
@@ -118,9 +115,7 @@ class MPCGameConfig:
     def pool_settings(self) -> PoolSettings:
         """The per-worker solver configuration this config induces."""
         return PoolSettings(
-            qp_settings=self.qp_settings,
-            slack_penalty=self.slack_penalty,
-            reuse_workspaces=self.reuse_workspaces,
+            qp_settings=self.qp_settings, slack_penalty=self.slack_penalty
         )
 
 

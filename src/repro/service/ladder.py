@@ -13,9 +13,9 @@ rung    name        strategy
 1       ``cold``    drop the workspace cache and re-factorize the same
                     problem from scratch (clears any poisoned iterate or
                     stale scaling)
-2       ``sparse``  one-shot solve on the plain sparse-LU KKT backend,
-                    sharing no cached state (sidesteps banded
-                    backend trouble)
+2       ``sparse``  solve on a throwaway workspace with the plain
+                    sparse-LU KKT backend, sharing no cached state
+                    (sidesteps banded backend trouble)
 3       ``hold``    keep the previous placement unchanged (``u = 0``)
                     and account the unserved-demand slack explicitly
 ======  ==========  ====================================================

@@ -166,9 +166,7 @@ class PlacementService:
             MPCConfig(
                 window=self.config.window,
                 qp_settings=self.config.qp_settings,
-                warm_start=True,
                 slack_penalty=self.config.slack_penalty,
-                reuse_workspace=True,
                 imputation=self.config.imputation,
             ),
         )
@@ -442,9 +440,7 @@ class PlacementService:
                         step = self.controller.plan(horizon, cold=True)
                     else:
                         step = self.controller.plan(
-                            horizon,
-                            settings=self._sparse_settings(),
-                            use_workspace=False,
+                            horizon, settings=self._sparse_settings()
                         )
                 except _SOLVE_FAILURES as error:
                     self.log.record(

@@ -188,9 +188,10 @@ class QPSettings:
     the strict ``eps_abs``/``eps_rel`` criteria on the original problem —
     accepted only if it passes, otherwise the iteration continues
     unchanged.  Accuracy is therefore never reduced; only the route to it
-    changes.  Off by default (the one-shot :func:`solve_qp` keeps its
-    historical iteration-for-iteration behaviour); the persistent
-    :class:`~repro.solvers.workspace.QPWorkspace` hot paths enable it.
+    changes.  Off in these defaults, which a raw :func:`solve_qp` or
+    :class:`~repro.solvers.workspace.QPWorkspace` uses; every DSPP solve
+    goes through a :class:`~repro.core.dspp.DSPPWorkspace`, which turns it
+    on when the caller passes no settings.
 
     ``kkt_backend`` selects how KKT systems are factorized when the
     workspace is handed the per-period block structure of a stacked
@@ -493,7 +494,6 @@ def solve_qp(
     l: VectorLike,
     u: VectorLike,
     settings: QPSettings | None = None,
-    warm_start: QPSolution | None = None,
     blocks: "QPBlockView | None" = None,
 ) -> QPSolution:
     """Solve ``min 1/2 x'Px + q'x  s.t.  l <= Ax <= u``.
@@ -505,9 +505,6 @@ def solve_qp(
         l: lower bounds (``-inf`` allowed), shape ``(m,)``.
         u: upper bounds (``+inf`` allowed), shape ``(m,)``.
         settings: solver settings; defaults are sensible for DSPP instances.
-        warm_start: a previous solution of a *same-shaped* problem; its
-            primal/dual iterates seed the ADMM iteration (this is what makes
-            receding-horizon MPC cheap).
         blocks: optional :class:`~repro.core.matrices.QPBlockView`
             describing the horizon block structure of ``(P, A)``; required
             for (and enabling) the ``"banded"`` KKT backend.
@@ -515,9 +512,6 @@ def solve_qp(
     Returns:
         A :class:`QPSolution`.  ``status`` distinguishes optimality from
         iteration exhaustion and from primal/dual infeasibility certificates.
-        If a warm-started iteration stalls, the solver restarts cold on the
-        already-equilibrated problem and ``iterations`` reports the
-        *cumulative* count across both passes.
 
     Raises:
         ValueError: on malformed inputs (see :meth:`QPProblem.build`).
@@ -526,4 +520,4 @@ def solve_qp(
 
     workspace = QPWorkspace(settings)
     workspace.setup(P, A, q=q, l=l, u=u, blocks=blocks)
-    return workspace.solve(warm_start=warm_start, reuse_iterates=False)
+    return workspace.solve()

@@ -17,8 +17,8 @@ does:
   re-factorizing only if the equality pattern of the bounds changed (the
   per-row step sizes depend on which rows are equalities);
 * :meth:`QPWorkspace.solve` — run the ADMM iteration, warm-started from
-  the previous solution's iterates, re-factorizing only on adaptive-rho
-  changes.
+  the previous solve's (scaled) iterates, re-factorizing only on
+  adaptive-rho changes.
 
 The Ruiz scaling is computed once at setup (from ``P``, ``A`` and the
 setup-time ``q``) and reused verbatim for every update, exactly as OSQP
@@ -29,8 +29,10 @@ tolerances as a cold :func:`~repro.solvers.qp.solve_qp` — solutions agree
 within solver tolerance even though the cached preconditioner differs from
 the one a cold solve would compute.
 
-``solve_qp`` itself is now a thin wrapper over a throwaway workspace, so
-the two paths share one ADMM implementation.
+``solve_qp`` is a thin call on a throwaway workspace, and every DSPP
+solve runs on a :class:`~repro.core.dspp.DSPPWorkspace`, so there is one
+ADMM implementation and one warm start: the workspace's own stored
+iterates.
 """
 
 from __future__ import annotations
@@ -476,18 +478,12 @@ class QPWorkspace:
             self._polish_system = None
         self.num_updates += 1
 
-    def solve(
-        self,
-        warm_start: QPSolution | None = None,
-        reuse_iterates: bool = True,
-    ) -> QPSolution:
+    def solve(self) -> QPSolution:
         """Run ADMM on the current problem data.
 
-        Args:
-            warm_start: a previous solution of a same-shaped problem; takes
-                precedence over the workspace's own stored iterates.
-            reuse_iterates: seed from the previous :meth:`solve`'s final
-                (scaled) iterates when no explicit ``warm_start`` is given.
+        The iteration starts from the previous :meth:`solve`'s final
+        (scaled) iterates when there are any: :meth:`setup` drops them, an
+        :meth:`update` keeps them.
 
         Returns:
             A :class:`~repro.solvers.qp.QPSolution`; same contract as
@@ -501,7 +497,7 @@ class QPWorkspace:
         if sanitize.enabled() and self._problem is not None:
             sanitize.check_finite("QPWorkspace.solve problem", self._problem)
         with sanitize.guard("QPWorkspace.solve"):
-            solution = self._solve_impl(warm_start, reuse_iterates)
+            solution = self._solve_impl()
         if solution.status in (QPStatus.OPTIMAL, QPStatus.MAX_ITERATIONS):
             # Infeasibility certificates legitimately carry NaN objective
             # and infinite residuals; only converged answers must be finite.
@@ -509,11 +505,7 @@ class QPWorkspace:
         sanitize.record_solve(solution.primal_residual, solution.dual_residual)
         return solution
 
-    def _solve_impl(
-        self,
-        warm_start: QPSolution | None,
-        reuse_iterates: bool,
-    ) -> QPSolution:
+    def _solve_impl(self) -> QPSolution:
         if (
             self._problem is None
             or self._work is None
@@ -529,25 +521,12 @@ class QPWorkspace:
         cfg = self.settings
         n, m = problem.num_variables, problem.num_constraints
 
-        x = np.zeros(n)
-        z = np.zeros(m)
-        y = np.zeros(m)
-        warm_seeded = False
-        if warm_start is not None and warm_start.x.size == n and warm_start.y.size == m:
-            x = scaling.scale_x(np.asarray(warm_start.x, dtype=float))
-            y = scaling.scale_y(np.asarray(warm_start.y, dtype=float))
-            z = np.asarray(work.A @ x, dtype=float)
+        if self._x is not None and self._z is not None and self._y is not None:
+            x, z, y = self._x.copy(), self._z.copy(), self._y.copy()
             warm_seeded = True
-        elif (
-            reuse_iterates
-            and self._x is not None
-            and self._z is not None
-            and self._y is not None
-        ):
-            x = self._x.copy()
-            z = self._z.copy()
-            y = self._y.copy()
-            warm_seeded = True
+        else:
+            x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
+            warm_seeded = False
 
         if m == 0:
             x = scaling.unscale_x(self._lu.solve(-work.q))

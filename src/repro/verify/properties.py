@@ -634,7 +634,7 @@ def prop_horizon1_mpc_equals_myopic(
         instance,
         LastValuePredictor(instance.num_locations),
         LastValuePredictor(instance.num_datacenters),
-        MPCConfig(window=1, reuse_workspace=True),
+        MPCConfig(window=1),
     )
     findings: list[Discrepancy] = []
     for k in range(num_steps):
@@ -791,11 +791,7 @@ def prop_sharded_equilibrium_equals_serial(
     # Between scarce (quota negotiation bites) and comfortable capacity.
     peak = sum(float(p.servers_demanded().max()) for p in providers)
     capacity = np.full(L, float(rng.uniform(0.4, 1.6)) * max(peak, 1.0) / L)
-    config = BestResponseConfig(
-        epsilon=1e-3,
-        max_iterations=8,
-        reuse_workspaces=bool(rng.random() < 0.75),
-    )
+    config = BestResponseConfig(epsilon=1e-3, max_iterations=8)
     try:
         serial = compute_equilibrium(providers, capacity, config, jobs=1)
     except RuntimeError:

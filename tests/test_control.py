@@ -251,7 +251,7 @@ class TestClosedLoop:
 
 class TestStructureFingerprintCaching:
     def test_reusing_workspace_hashes_structure_once(self, monkeypatch):
-        """A receding-horizon run with ``reuse_workspace=True`` must hash
+        """A receding-horizon run on the controller's workspace must hash
         the structure-relevant arrays exactly once: ``with_initial_state``
         propagates the memoized key, so advancing the state every period
         never re-invokes ``_compute_structure_key``."""
@@ -280,7 +280,7 @@ class TestStructureFingerprintCaching:
             instance,
             OraclePredictor(demand),
             OraclePredictor(prices),
-            MPCConfig(window=3, reuse_workspace=True),
+            MPCConfig(window=3),
         )
         run_closed_loop(controller, demand, prices)
         assert calls["n"] == 1

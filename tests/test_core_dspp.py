@@ -144,14 +144,3 @@ class TestElastic:
             solution.costs.total + 50.0 * solution.demand_slack.sum(), rel=1e-6
         )
 
-
-class TestWarmStart:
-    def test_warm_start_helps_receding_solve(self, small_instance, small_demand, small_prices):
-        first = solve_dspp(small_instance, small_demand, small_prices)
-        shifted = small_demand * 1.02
-        warm = solve_dspp(
-            small_instance, shifted, small_prices, warm_start=first.qp
-        )
-        cold = solve_dspp(small_instance, shifted, small_prices)
-        assert warm.qp.iterations <= cold.qp.iterations
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-4)

@@ -119,7 +119,7 @@ class TestRoundProtocol:
     def test_round_reports_match_direct_solves(self):
         providers, capacity = _population(num_providers=3)
         quotas = np.tile(capacity / 3, (3, 1))
-        settings = PoolSettings(reuse_workspaces=False)
+        settings = PoolSettings()
         with ProviderPool(providers, jobs=2, settings=settings) as pool:
             result = pool.run_round(quotas)
             controls = pool.first_controls()
@@ -162,15 +162,6 @@ class TestBitwiseIdentity:
                 providers, capacity, config, jobs=jobs
             )
             _assert_equilibria_identical(serial, sharded)
-
-    def test_equilibrium_identical_without_workspace_reuse(self):
-        providers, capacity = _population(num_providers=3)
-        config = BestResponseConfig(
-            epsilon=1e-3, max_iterations=4, reuse_workspaces=False
-        )
-        serial = compute_equilibrium(providers, capacity, config, jobs=1)
-        sharded = compute_equilibrium(providers, capacity, config, jobs=2)
-        _assert_equilibria_identical(serial, sharded)
 
     def test_mpc_game_identical_at_any_jobs_count(self):
         providers, capacity = _population(num_providers=3, horizon=4)

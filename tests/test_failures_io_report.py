@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.control.loop import ClosedLoop
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
 from repro.io import load_scenario, save_scenario
@@ -180,6 +181,16 @@ class TestFailureLoop:
         with pytest.raises(ValueError, match="prices must be"):
             run_closed_loop_with_failures(controller, demand, prices[:, :-1], [])
 
+    @pytest.mark.parametrize("shape", [(7, 2), (10, 3), (10,), (2, 10)])
+    def test_closed_loop_rejects_mismatched_capacity_schedule(self, setup, shape):
+        """A schedule that is not ``(K, L)`` fails at construction, before
+        any period has run or fed a predictor."""
+        instance, demand, prices = setup
+        controller = self._controller(instance, demand, prices)
+        with pytest.raises(ValueError, match=r"capacities must be \(10, 2\)"):
+            ClosedLoop(controller, demand, prices, capacities=np.full(shape, 30.0))
+        assert controller.period == 0
+
     def test_full_outage_evicts_stranded_servers(self, setup):
         # Servers standing at a fully failed site must not survive into the
         # planned state: during the outage the failed DC's row is (near) zero.
@@ -270,9 +281,9 @@ class TestFailureLoopKeepsHistory:
         assert np.isfinite(result.trajectory.states).all()
 
     def test_cold_solves_match_reset_and_refeed_loop(self):
-        """With warm starts off, keeping the history changes nothing: the
-        run is bitwise that of a loop which resets the controller and
-        re-feeds the observed history every period."""
+        """Keeping the history changes nothing: the run is bitwise that of a
+        loop which resets the predictors and re-feeds the observed history
+        every period, its solver workspace carrying on in both."""
         scenario = build_small_scenario(num_periods=12, seed=7)
         instance = scenario.instance
         demand, prices = scenario.demand, scenario.prices
@@ -282,7 +293,7 @@ class TestFailureLoopKeepsHistory:
                 instance,
                 ARPredictor(instance.num_locations, order=2),
                 ARPredictor(instance.num_datacenters, order=2),
-                MPCConfig(window=3, slack_penalty=1e3, warm_start=False),
+                MPCConfig(window=3, slack_penalty=1e3),
             )
 
         result = run_closed_loop_with_failures(
@@ -299,7 +310,9 @@ class TestFailureLoopKeepsHistory:
                 used = instance.server_size * state[l].sum()
                 if used > capacity[l] + 1e-9:
                     state[l] *= capacity[l] / used
-            reference.reset(state)
+            reference.demand_predictor.reset()
+            reference.price_predictor.reset()
+            reference.state = state
             reference.demand_predictor.observe_history(demand[:, :k])
             reference.price_predictor.observe_history(prices[:, :k])
             step = reference.step(demand[:, k], prices[:, k], horizon=min(3, 11 - k))

@@ -30,7 +30,7 @@ from repro.simulation.scenario import build_paper_scenario, build_small_scenario
 
 
 def _controller(instance, **config_kwargs):
-    defaults = dict(window=3, slack_penalty=1e3, reuse_workspace=True)
+    defaults = dict(window=3, slack_penalty=1e3)
     defaults.update(config_kwargs)
     return MPCController(
         instance,

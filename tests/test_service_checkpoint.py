@@ -41,7 +41,7 @@ def _stepped_controller(num_steps: int = 3) -> MPCController:
         instance,
         LastValuePredictor(instance.num_locations),
         LastValuePredictor(instance.num_datacenters),
-        MPCConfig(window=2, slack_penalty=1e3, reuse_workspace=True),
+        MPCConfig(window=2, slack_penalty=1e3),
     )
     for k in range(num_steps):
         controller.step(scenario.demand[:, k], scenario.prices[:, k])
@@ -172,7 +172,7 @@ class TestControllerSnapshotDeterminism:
             instance,
             LastValuePredictor(instance.num_locations),
             LastValuePredictor(instance.num_datacenters),
-            MPCConfig(window=3, slack_penalty=1e3, reuse_workspace=True),
+            MPCConfig(window=3, slack_penalty=1e3),
         )
         for k in range(3):
             controller.step(scenario.demand[:, k], scenario.prices[:, k])

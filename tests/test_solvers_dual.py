@@ -122,8 +122,9 @@ class TestEdgeCases:
 
     def test_single_provider_game_reduces_to_plain_solve(self):
         """compute_equilibrium with N=1 is exactly one provider solving its
-        own DSPP at the full physical capacity."""
-        from repro.core.dspp import solve_dspp
+        own DSPP at the full physical capacity, once per round on one
+        workspace."""
+        from repro.core.dspp import DSPPWorkspace, solve_dspp
         from repro.game.best_response import (
             BestResponseConfig,
             compute_equilibrium,
@@ -140,14 +141,17 @@ class TestEdgeCases:
             rng=rng,
         )[0]
         capacity = np.full(2, 1.5 * float(provider.servers_demanded().max()) / 2)
-        config = BestResponseConfig(reuse_workspaces=False)
+        config = BestResponseConfig()
         result = compute_equilibrium([provider], capacity, config)
-        direct = solve_dspp(
-            provider.instance.with_capacities(capacity),
-            provider.demand,
-            provider.prices,
-            demand_slack_penalty=config.slack_penalty,
-        )
+        workspace = DSPPWorkspace()
+        for _ in range(result.iterations):
+            direct = solve_dspp(
+                provider.instance.with_capacities(capacity),
+                provider.demand,
+                provider.prices,
+                demand_slack_penalty=config.slack_penalty,
+                workspace=workspace,
+            )
         assert result.quotas == pytest.approx(capacity[None, :])
         assert result.total_cost == direct.objective
         assert np.array_equal(

@@ -207,31 +207,6 @@ class TestScaling:
         assert scaled.y == pytest.approx(unscaled.y, abs=1e-4)
 
 
-class TestWarmStart:
-    def test_warm_start_reduces_iterations(self):
-        rng = np.random.default_rng(3)
-        n, m = 10, 15
-        M = rng.normal(size=(n, n))
-        P = M @ M.T + np.eye(n)
-        q = rng.normal(size=n)
-        A = rng.normal(size=(m, n))
-        x0 = rng.normal(size=n)
-        l = A @ x0 - 1.0
-        u = A @ x0 + 1.0
-        cold = solve_qp(P, q, A, l, u)
-        warm = solve_qp(P, q + 0.01, A, l, u, warm_start=cold)
-        assert warm.is_optimal
-        assert warm.iterations <= cold.iterations
-
-    def test_warm_start_with_wrong_shape_is_ignored(self):
-        base = solve_qp(np.eye(2), -np.ones(2), np.eye(2), np.zeros(2), np.ones(2))
-        other = solve_qp(
-            np.eye(3), -np.ones(3), np.eye(3), np.zeros(3), np.ones(3), warm_start=base
-        )
-        assert other.is_optimal
-        assert other.x == pytest.approx([1.0, 1.0, 1.0], abs=1e-6)
-
-
 class TestInfeasibility:
     def test_primal_infeasible_detected(self):
         # x <= 1 and x >= 2 simultaneously.

@@ -84,15 +84,6 @@ class TestWorkspaceEquivalence:
         assert second.iterations == 0
         np.testing.assert_allclose(second.x, first.x, rtol=1e-6, atol=1e-8)
 
-    def test_explicit_warm_start_still_accepted(self, rng):
-        P, q, A, l, u = _random_qp(rng)
-        cold = solve_qp(P, q, A, l, u)
-        ws = QPWorkspace()
-        ws.setup(P, A, q=q, l=l, u=u)
-        warm = ws.solve(warm_start=cold)
-        assert warm.status is QPStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
-
 
 class TestFactorizationCaching:
     def test_updates_do_not_refactorize_same_pattern(self, rng):
