@@ -18,6 +18,7 @@ by unit tests here at the loop level.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.control.mpc import MPCController, MPCStep
@@ -51,11 +52,8 @@ class IntegerMPCController(MPCController):
             self.instance, step.new_state[None], planned_demand
         )[0]
         self._state = integer_state
-        return MPCStep(
-            period=step.period,
+        return replace(
+            step,
             applied_control=integer_state - previous_state,
             new_state=integer_state.copy(),
-            predicted_demand=step.predicted_demand,
-            predicted_prices=step.predicted_prices,
-            solution=step.solution,
         )

@@ -164,6 +164,9 @@ class BandedKKTSolver:
         scaled: the Ruiz-scaled problem (used for its diagonal ``P`` and
             for sparse matvecs in the right-hand-side condensation and
             refinement — never sliced).
+        a_t: ``scaled.A.T``, which the workspace caches per structure
+            (building it per factorization costs more than a matvec at
+            this block size).
         d: Ruiz column scaling ``D`` diagonal, shape ``(n,)``.
         e: Ruiz row scaling ``E`` diagonal, shape ``(m,)``.
         sigma: ADMM regularization.
@@ -173,11 +176,12 @@ class BandedKKTSolver:
         ValueError: if the view's dimensions do not match the problem.
     """
 
-    @check_shapes("d:(n,)", "e:(m,)", "rho_vec:(m,)")
+    @check_shapes("a_t:(n,m)", "d:(n,)", "e:(m,)", "rho_vec:(m,)")
     def __init__(
         self,
         view: QPBlockView,
         scaled: QPProblem,
+        a_t: sp.csr_matrix,
         d: np.ndarray,
         e: np.ndarray,
         sigma: float,
@@ -306,10 +310,8 @@ class BandedKKTSolver:
 
         self._factorize_blocks()
 
-        # Hot-loop constants: the eliminated-variable ratios and the CSR
-        # transpose of A are fixed for the factorization's lifetime
-        # (building ``A.T`` per solve costs more than the matvec itself
-        # at this block size).
+        # Hot-loop constants: the eliminated-variable ratios are fixed for
+        # the factorization's lifetime.
         self._cross_du = self._cross / self._du
         self._cux_du = np.zeros((T, LV))
         self._cux_du[1:] = self._cux[1:] / self._du[1:]
@@ -318,7 +320,7 @@ class BandedKKTSolver:
         else:
             self._wxv_dw = self._wxv
         self._p_sigma = self._p_diag + self._sigma
-        self._a_t = scaled.A.T.tocsr()
+        self._a_t = a_t
 
     def _assemble_block(self, t: int) -> np.ndarray:
         """Dense condensed state block of period ``t`` (without the

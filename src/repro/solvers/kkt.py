@@ -5,13 +5,14 @@ fine for control but leaves ~1e-6 residuals.  The *polish* step implemented
 here guesses the active set from the final dual iterate, solves the reduced
 equality-constrained QP exactly (one regularized KKT solve), and keeps the
 result only if it strictly improves every residual — the standard OSQP
-post-processing.
+post-processing.  :func:`certify_kkt_point` is the strict-tolerance
+certificate the workspace's crossover and early polish accept a trial KKT
+point by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,20 +20,19 @@ import scipy.sparse.linalg as spla
 
 import repro.sanitize as sanitize
 from repro.contracts import check_shapes
+from repro.solvers.qp import QPProblem, QPSolution, QPStatus, _inf_norm
 
 __all__ = [
     "ActiveSetSystem",
     "KKTResiduals",
     "build_active_set_system",
+    "certify_kkt_point",
     "guess_active_set",
     "kkt_residuals",
     "polish_solution",
     "solve_active_set_system",
     "update_active_set",
 ]
-
-if TYPE_CHECKING:
-    from repro.solvers.qp import QPProblem, QPSolution
 
 _ACTIVE_TOL = 1e-7
 _POLISH_REGULARIZATION = 1e-9
@@ -65,9 +65,7 @@ def kkt_residuals(problem: QPProblem, x: np.ndarray, y: np.ndarray) -> KKTResidu
     positive ``y`` presses on the upper bound, negative on the lower.
     """
     ax = problem.A @ x
-    lower_violation = np.where(np.isfinite(problem.l), problem.l - ax, -np.inf)
-    upper_violation = np.where(np.isfinite(problem.u), ax - problem.u, -np.inf)
-    primal = float(max(0.0, lower_violation.max(initial=0.0), upper_violation.max(initial=0.0)))
+    primal = _primal_violation(problem, ax)
     dual = float(np.max(np.abs(problem.P @ x + problem.q + problem.A.T @ y), initial=0.0))
 
     y_pos = np.maximum(y, 0.0)
@@ -76,6 +74,111 @@ def kkt_residuals(problem: QPProblem, x: np.ndarray, y: np.ndarray) -> KKTResidu
     slack_lower = np.where(np.isfinite(problem.l), ax - problem.l, 0.0)
     comp = float(max(np.max(np.abs(y_pos * slack_upper), initial=0.0), np.max(np.abs(y_neg * slack_lower), initial=0.0)))
     return KKTResiduals(primal=primal, dual=dual, complementarity=comp)
+
+
+def _primal_violation(problem: QPProblem, ax: np.ndarray) -> float:
+    """Bound violation ``max(0, l - Ax, Ax - u)`` in inf-norm, given ``Ax``."""
+    lower_violation = np.where(np.isfinite(problem.l), problem.l - ax, -np.inf)
+    upper_violation = np.where(np.isfinite(problem.u), ax - problem.u, -np.inf)
+    return float(max(0.0, lower_violation.max(initial=0.0), upper_violation.max(initial=0.0)))
+
+
+@check_shapes("a_t:(n,m)", "x:(n,)", "y:(m,)")
+def certify_kkt_point(
+    problem: QPProblem,
+    a_t: sp.csr_matrix,
+    x: np.ndarray,
+    y: np.ndarray,
+    eps_abs: float,
+    eps_rel: float,
+) -> tuple[np.ndarray, QPSolution | None]:
+    """Strict-tolerance optimality certificate for a trial KKT point.
+
+    A convex QP's exact KKT point is globally optimal, so a trial point
+    ``(x, y)`` of an active-set solve whose *true* bound violation,
+    stationarity residual and duality gap all sit below the strict
+    thresholds is accepted as optimal.  All checks are on the original
+    (unscaled) problem.
+
+    The checks are staged so each operator product runs at most once.
+    ``Ax`` comes first: a primal-dual active-set trial point usually fails
+    on a violated bound, and then ``Px`` and ``A'y`` are never formed.
+    Only a primal-feasible point pays for them, and the stationarity
+    residual, the objective and the gap below all reuse them.
+
+    The last check is the aggregate complementarity *sum*
+
+        ``gap = sum_i slack_i * |y_i|``
+
+    which — given (near-)exact stationarity, which the active-set solve
+    delivers — equals the duality gap and therefore directly bounds the
+    objective suboptimality.  A per-row max-norm check is not enough here: a
+    wrong active-set guess can hide a few-times-``eps`` violation in each
+    of thousands of rows, adding up to a visible objective error while
+    every individual row looks converged.
+
+    Args:
+        problem: the original (unscaled) problem.
+        a_t: ``problem.A.T``, which the caller caches per structure.
+        x: trial primal point, shape ``(n,)``.
+        y: trial multipliers, shape ``(m,)`` (QPSolution sign convention).
+        eps_abs: absolute tolerance (``QPSettings.eps_abs``).
+        eps_rel: relative tolerance (``QPSettings.eps_rel``).
+
+    Returns:
+        ``(ax, solution)``: ``ax = A x``, for the next active-set update
+        whatever the verdict, and the certified ``polished`` OPTIMAL
+        :class:`~repro.solvers.qp.QPSolution` (``iterations=0``), or
+        ``None`` if any check fails.
+    """
+    ax = np.asarray(problem.A @ x, dtype=float)
+    primal = _primal_violation(problem, ax)
+    z_proj = np.clip(ax, problem.l, problem.u)
+    prim_scale = max(_inf_norm(ax), _inf_norm(z_proj), 1e-12)
+    if primal > eps_abs + eps_rel * prim_scale:
+        return ax, None
+
+    px = np.asarray(problem.P @ x, dtype=float)
+    aty = np.asarray(a_t @ y, dtype=float)
+    dual = float(np.max(np.abs(px + problem.q + aty), initial=0.0))
+    dual_scale = max(_inf_norm(px), _inf_norm(problem.q), _inf_norm(aty), 1e-12)
+    if dual > eps_abs + eps_rel * dual_scale:
+        return ax, None
+
+    y_pos = np.maximum(y, 0.0)
+    y_neg = np.minimum(y, 0.0)
+    # A multiplier pressing against an infinite bound certifies nothing
+    # (its slack term is unbounded); the active-set solve only assigns
+    # duals to rows it treats as active, so this rejects broken guesses.
+    if bool(np.any(y_pos[np.isinf(problem.u)] > eps_abs)) or bool(
+        np.any(-y_neg[np.isinf(problem.l)] > eps_abs)
+    ):
+        return ax, None
+    gap = 0.0
+    upper_mask = np.isfinite(problem.u) & (y_pos > 0.0)
+    if np.any(upper_mask):
+        gap += float(
+            np.sum(np.abs(problem.u[upper_mask] - ax[upper_mask]) * y_pos[upper_mask])
+        )
+    lower_mask = np.isfinite(problem.l) & (y_neg < 0.0)
+    if np.any(lower_mask):
+        gap += float(
+            np.sum(np.abs(ax[lower_mask] - problem.l[lower_mask]) * (-y_neg[lower_mask]))
+        )
+    objective = float(0.5 * x @ px + problem.q @ x)
+    if gap > eps_abs + eps_rel * abs(objective):
+        return ax, None
+
+    return ax, QPSolution(
+        x=x,
+        y=y,
+        objective=objective,
+        status=QPStatus.OPTIMAL,
+        iterations=0,
+        primal_residual=primal,
+        dual_residual=dual,
+        polished=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -104,9 +207,9 @@ class ActiveSetSystem:
     a_active: sp.csc_matrix
 
 
-@check_shapes("x:(n,)", "y:(m,)", ret=("(m,)", "(m,)"))
+@check_shapes("ax:(m,)", "y:(m,)", ret=("(m,)", "(m,)"))
 def guess_active_set(
-    problem: QPProblem, x: np.ndarray, y: np.ndarray
+    problem: QPProblem, ax: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Guess the optimal active set from a primal/dual pair.
 
@@ -114,10 +217,14 @@ def guess_active_set(
     constraint holds with (near-)equality.  Equality rows are resolved to
     the upper mask so each row carries a single multiplier.
 
+    Args:
+        problem: the problem the pair belongs to.
+        ax: constraint values ``A x`` of the primal point, shape ``(m,)``.
+        y: multipliers, shape ``(m,)``.
+
     Returns:
         ``(active_lower, active_upper)`` boolean masks of shape ``(m,)``.
     """
-    ax = problem.A @ x
     active_lower = np.isfinite(problem.l) & (
         (y < -_ACTIVE_TOL) | (ax <= problem.l + _ACTIVE_TOL)
     )
@@ -203,9 +310,9 @@ def solve_active_set_system(
     return x, y
 
 
-@check_shapes("x:(n,)", "y:(m,)", ret=("(m,)", "(m,)"))
+@check_shapes("ax:(m,)", "y:(m,)", ret=("(m,)", "(m,)"))
 def update_active_set(
-    problem: QPProblem, x: np.ndarray, y: np.ndarray
+    problem: QPProblem, ax: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One primal-dual active-set update from a trial KKT point.
 
@@ -218,10 +325,15 @@ def update_active_set(
     ``y_i = 0``).  Equality rows are always active (upper, by the same
     convention as :func:`guess_active_set`).
 
+    Args:
+        problem: the problem the trial point belongs to.
+        ax: constraint values ``A x`` of the trial point, shape ``(m,)``
+            (the one :func:`certify_kkt_point` returns).
+        y: trial multipliers, shape ``(m,)``.
+
     Returns:
         ``(active_lower, active_upper)`` boolean masks of shape ``(m,)``.
     """
-    ax = problem.A @ x
     equality = problem.l == problem.u
     active_upper = np.isfinite(problem.u) & (y + (ax - problem.u) > _ACTIVE_TOL)
     active_lower = np.isfinite(problem.l) & (y + (ax - problem.l) < -_ACTIVE_TOL)
@@ -241,7 +353,9 @@ def polish_solution(problem: QPProblem, solution: QPSolution) -> QPSolution:
         A new solution (``polished=True``) if the refinement improved the
         worst KKT residual, otherwise the input solution unchanged.
     """
-    active_lower, active_upper = guess_active_set(problem, solution.x, solution.y)
+    active_lower, active_upper = guess_active_set(
+        problem, problem.A @ solution.x, solution.y
+    )
     system = build_active_set_system(problem, active_lower, active_upper)
     if system is None:
         return solution
@@ -253,8 +367,6 @@ def polish_solution(problem: QPProblem, solution: QPSolution) -> QPSolution:
     new = kkt_residuals(problem, x_new, y_new)
     if new.worst >= old.worst:
         return solution
-
-    from repro.solvers.qp import QPSolution
 
     return QPSolution(
         x=x_new,

@@ -430,30 +430,38 @@ def _factorize(
 
 
 def _residuals(
-    problem: QPProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Return (r_prim, r_dual, prim_scale, dual_scale) for termination tests."""
+    problem: QPProblem, a_t: sp.csr_matrix, x: np.ndarray, z: np.ndarray, y: np.ndarray
+) -> tuple[float, float, float, float, np.ndarray]:
+    """Return (r_prim, r_dual, prim_scale, dual_scale, Ax) for termination tests.
+
+    ``a_t`` is ``problem.A.T``, cached by the caller per structure.
+    """
     ax = problem.A @ x
     px = problem.P @ x
-    aty = problem.A.T @ y
+    aty = a_t @ y
     r_prim = float(np.max(np.abs(ax - z))) if z.size else 0.0
     r_dual = float(np.max(np.abs(px + problem.q + aty)))
     prim_scale = max(_inf_norm(ax), _inf_norm(z), 1e-12)
     dual_scale = max(_inf_norm(px), _inf_norm(problem.q), _inf_norm(aty), 1e-12)
-    return r_prim, r_dual, prim_scale, dual_scale
+    return r_prim, r_dual, prim_scale, dual_scale, ax
 
 
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def _check_primal_infeasible(problem: QPProblem, dy: np.ndarray, eps: float) -> bool:
-    """Certificate test: dy with A'dy ~ 0 and support-function value < 0."""
+def _check_primal_infeasible(
+    problem: QPProblem, a_t: sp.csr_matrix, dy: np.ndarray, eps: float
+) -> bool:
+    """Certificate test: dy with A'dy ~ 0 and support-function value < 0.
+
+    ``a_t`` is ``problem.A.T``, cached by the caller per structure.
+    """
     norm_dy = _inf_norm(dy)
     if norm_dy <= eps:
         return False
     dy = dy / norm_dy
-    if _inf_norm(problem.A.T @ dy) > eps * 1e3:
+    if _inf_norm(a_t @ dy) > eps * 1e3:
         return False
     dy_pos = np.maximum(dy, 0.0)
     dy_neg = np.minimum(dy, 0.0)

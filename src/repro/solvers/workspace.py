@@ -41,6 +41,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import repro.sanitize as sanitize
@@ -55,8 +56,8 @@ from repro.solvers.banded import (
 from repro.solvers.kkt import (
     ActiveSetSystem,
     build_active_set_system,
+    certify_kkt_point,
     guess_active_set,
-    kkt_residuals,
     polish_solution,
     solve_active_set_system,
     update_active_set,
@@ -120,6 +121,11 @@ class QPWorkspace:
         self.num_equilibrations = 0
         self._problem: QPProblem | None = None
         self._work: QPProblem | None = None
+        # Transposes of the original and scaled constraint matrices, built
+        # once per structure for every ``A'y`` product (certificate, ADMM
+        # residuals, infeasibility test, banded refinement).
+        self._a_t: sp.csr_matrix | None = None
+        self._work_a_t: sp.csr_matrix | None = None
         self._scaling: _qp._Scaling | None = None
         self._scaling_iterations_used: int | None = None
         self._equality: np.ndarray | None = None
@@ -156,12 +162,12 @@ class QPWorkspace:
         Ruiz scaling, the rho vector, the iterates and the cached polish
         system's active-set masks.  Everything else is a deterministic
         function of those and is rebuilt by :meth:`__setstate__`: the
-        scaled problem ``_work`` and the equality mask, the KKT
-        factorization (a ``SuperLU`` is not picklable anyway) and the
-        polish system.  The per-solve scratch fields (``_failed_masks``,
-        ``_early_polished``) are dropped; their serialized bytes would
-        depend on hash randomization.  Two snapshots of the same logical
-        state are byte-identical.
+        scaled problem ``_work``, the cached transposes and the equality
+        mask, the KKT factorization (a ``SuperLU`` is not picklable
+        anyway) and the polish system.  The per-solve scratch fields
+        (``_failed_masks``, ``_early_polished``) are dropped; their
+        serialized bytes would depend on hash randomization.  Two
+        snapshots of the same logical state are byte-identical.
         """
         state = dict(self.__dict__)
         system = state.pop("_polish_system")
@@ -170,7 +176,15 @@ class QPWorkspace:
             if system is None
             else (system.active_lower.copy(), system.active_upper.copy())
         )
-        for derived in ("_work", "_equality", "_lu", "_early_polished", "_failed_masks"):
+        for derived in (
+            "_work",
+            "_a_t",
+            "_work_a_t",
+            "_equality",
+            "_lu",
+            "_early_polished",
+            "_failed_masks",
+        ):
             del state[derived]
         return state
 
@@ -190,6 +204,7 @@ class QPWorkspace:
         masks = state.pop("_polish_masks", None)
         self.__dict__.update(state)
         self._work = None
+        self._a_t = self._work_a_t = None
         self._equality = None
         self._lu = None
         self._early_polished = None
@@ -197,8 +212,7 @@ class QPWorkspace:
         self._failed_masks = set()
         problem, scaling = self._problem, self._scaling
         if problem is not None and scaling is not None:
-            self._work = scaling.apply(problem)
-            self._equality = problem.l == problem.u
+            self._install(problem, scaling.apply(problem))
             counters = (self.num_factorizations, self.num_equilibrations)
             self._factorize_current()
             self.num_factorizations, self.num_equilibrations = counters
@@ -316,10 +330,8 @@ class QPWorkspace:
             )
             self._scaling_iterations_used = 0
 
-        self._problem = problem
-        self._work = work
+        self._install(problem, work)
         self._scaling = scaling
-        self._equality = problem.l == problem.u
         self._rho_vec = _qp._rho_vector(work, cfg.rho)
         self._factorize_current()
         self.num_setups += 1
@@ -327,6 +339,15 @@ class QPWorkspace:
         self._stale_scaling = False
         self._best_warm_iterations = None
         self._polish_system = None
+
+    def _install(self, problem: QPProblem, work: QPProblem) -> None:
+        """Install the original and scaled problems and what derives from
+        their structure alone: both transposes and the equality mask."""
+        self._problem = problem
+        self._work = work
+        self._a_t = problem.A.T
+        self._work_a_t = work.A.T
+        self._equality = problem.l == problem.u
 
     def _factorize_current(self) -> spla.SuperLU | BandedKKTSolver:
         """(Re)factorize the ADMM KKT system with the selected backend.
@@ -343,11 +364,12 @@ class QPWorkspace:
         cfg = self.settings
         lu: spla.SuperLU | BandedKKTSolver
         if self._use_banded:
-            assert self._blocks is not None
+            assert self._blocks is not None and self._work_a_t is not None
             try:
                 lu = BandedKKTSolver(
                     self._blocks,
                     work,
+                    self._work_a_t,
                     scaling.d,
                     scaling.e,
                     cfg.sigma,
@@ -415,9 +437,8 @@ class QPWorkspace:
             self._x = scaling.scale_x(old.unscale_x(self._x))
             self._y = scaling.scale_y(old.unscale_y(self._y))
             self._z = scaling.e * old.unscale_z(self._z)
-        self._work = work
+        self._install(problem, work)
         self._scaling = scaling
-        self._equality = problem.l == problem.u
         self._rho_vec = _qp._rho_vector(work, cfg.rho)
         self._factorize_current()
         self._stale_scaling = False
@@ -591,7 +612,10 @@ class QPWorkspace:
         y_orig = scaling.unscale_y(y)
         z_orig = scaling.unscale_z(z)
         if status is QPStatus.MAX_ITERATIONS:
-            r_prim, r_dual, _, _ = _qp._residuals(problem, x_orig, z_orig, y_orig)
+            assert self._a_t is not None
+            r_prim, r_dual, _, _, _ = _qp._residuals(
+                problem, self._a_t, x_orig, z_orig, y_orig
+            )
 
         solution = QPSolution(
             x=x_orig,
@@ -620,135 +644,65 @@ class QPWorkspace:
 
         If the optimal active set did not change since the last solve —
         the common case along a receding horizon — the cached system's KKT
-        point passes the strict certificate and *is* the optimum: ADMM is
-        skipped entirely and the solve costs two back-substitutions.  When
-        the set did move, run a few primal-dual active-set updates
-        (:func:`repro.solvers.kkt.update_active_set`), each certified
-        against the strict tolerances before being accepted.  Returns
-        ``None`` if no attempt certifies, in which case the caller falls
-        back to ADMM — seeded from the last trial KKT point, which is far
-        closer to the new optimum than the previous solve's iterates.
+        point passes the strict certificate
+        (:func:`repro.solvers.kkt.certify_kkt_point`) and *is* the optimum:
+        ADMM is skipped entirely and the solve costs two
+        back-substitutions.  When the set did move, run a few primal-dual
+        active-set updates (:func:`repro.solvers.kkt.update_active_set`,
+        fed the certificate's ``A x``), each certified before being
+        accepted.  A next working set that already failed this solve, or
+        one past the attempt cap, ends the crossover before it is
+        factorized.  Returns ``None`` if no attempt certifies, in which case
+        the caller falls back to ADMM — seeded from the last trial KKT
+        point, which is far closer to the new optimum than the previous
+        solve's iterates.
         """
         problem = self._problem
-        scaling = self._scaling
+        a_t = self._a_t
         system = self._polish_system
-        assert problem is not None and scaling is not None and system is not None
-        candidate: QPSolution | None = None
-        for _ in range(self._MAX_CROSSOVER_ATTEMPTS):
-            key = system.active_lower.tobytes() + system.active_upper.tobytes()
-            if key in self._failed_masks:
-                break
+        assert problem is not None and a_t is not None and system is not None
+        cfg = self.settings
+        key = system.active_lower.tobytes() + system.active_upper.tobytes()
+        seed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for attempt in range(1, self._MAX_CROSSOVER_ATTEMPTS + 1):
             x, y = self._solve_active_system(system)
             if not np.all(np.isfinite(x)):
                 self._failed_masks.add(key)
                 break
-            residuals = kkt_residuals(problem, x, y)
-            candidate = QPSolution(
-                x=x,
-                y=y,
-                objective=problem.objective(x),
-                status=QPStatus.OPTIMAL,
-                iterations=0,
-                primal_residual=residuals.primal,
-                dual_residual=residuals.dual,
-                polished=True,
-            )
-            if self._certifies_optimal(candidate):
+            ax, solution = certify_kkt_point(problem, a_t, x, y, cfg.eps_abs, cfg.eps_rel)
+            if solution is not None:
                 self._polish_system = system
-                self._store_iterates(candidate.x, candidate.y)
-                return candidate
+                self._store_iterates(x, y, ax)
+                return solution
             self._failed_masks.add(key)
-            next_system = self._build_active_system(*update_active_set(problem, x, y))
+            seed = (x, y, ax)
+            if attempt == self._MAX_CROSSOVER_ATTEMPTS:
+                break
+            active_lower, active_upper = update_active_set(problem, ax, y)
+            key = active_lower.tobytes() + active_upper.tobytes()
+            if key in self._failed_masks:
+                break
+            next_system = self._build_active_system(active_lower, active_upper)
             if next_system is None:
                 break
             system = next_system
-        if candidate is not None:
+        if seed is not None:
             # Even a rejected candidate is an exact KKT point of a nearby
             # active set on the current data; seed ADMM from it so the
             # iteration only has to move the rows whose activity flipped.
-            self._store_iterates(candidate.x, candidate.y)
+            self._store_iterates(*seed)
         return None
 
-    def _store_iterates(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Store an (unscaled) primal/dual pair as the scaled warm start."""
+    def _store_iterates(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray) -> None:
+        """Store an (unscaled) primal/dual pair, with ``A x``, as the scaled
+        warm start."""
         problem = self._problem
         scaling = self._scaling
         assert problem is not None and scaling is not None
-        z = np.clip(np.asarray(problem.A @ x, dtype=float), problem.l, problem.u)
+        z = np.clip(ax, problem.l, problem.u)
         self._x = scaling.scale_x(x)
         self._y = scaling.scale_y(y)
         self._z = scaling.e * z
-
-    def _certifies_optimal(self, solution: QPSolution) -> bool:
-        """Strict-tolerance optimality certificate for a polished solution.
-
-        A convex QP's exact KKT point is globally optimal, so a candidate
-        whose *true* bound violation, stationarity residual and duality gap
-        all sit below the strict thresholds is accepted as optimal
-        regardless of how loose the ADMM iterate that seeded it was.  All
-        checks are on the original (unscaled) problem.
-
-        The third check is the aggregate complementarity *sum*
-
-            ``gap = sum_i slack_i * |y_i|``
-
-        which — given (near-)exact stationarity, which polish delivers —
-        equals the duality gap and therefore directly bounds the objective
-        suboptimality.  A per-row max-norm check is not enough here: a
-        wrong active-set guess can hide a few-times-``eps`` violation in
-        each of thousands of rows, adding up to a visible objective error
-        while every individual row looks converged.
-        """
-        problem = self._problem
-        assert problem is not None
-        cfg = self.settings
-        residuals = kkt_residuals(problem, solution.x, solution.y)
-        ax = np.asarray(problem.A @ solution.x, dtype=float)
-        z_proj = np.clip(ax, problem.l, problem.u)
-        px = np.asarray(problem.P @ solution.x, dtype=float)
-        aty = np.asarray(problem.A.T @ solution.y, dtype=float)
-        prim_scale = max(_qp._inf_norm(ax), _qp._inf_norm(z_proj), 1e-12)
-        dual_scale = max(
-            _qp._inf_norm(px),
-            _qp._inf_norm(problem.q),
-            _qp._inf_norm(aty),
-            1e-12,
-        )
-        eps_prim = cfg.eps_abs + cfg.eps_rel * prim_scale
-        eps_dual = cfg.eps_abs + cfg.eps_rel * dual_scale
-        if residuals.primal > eps_prim or residuals.dual > eps_dual:
-            return False
-
-        y = np.asarray(solution.y, dtype=float)
-        y_pos = np.maximum(y, 0.0)
-        y_neg = np.minimum(y, 0.0)
-        # A multiplier pressing against an infinite bound certifies nothing
-        # (its slack term is unbounded); polish only assigns duals to rows
-        # it treats as active, so this rejects genuinely broken guesses.
-        if bool(np.any(y_pos[np.isinf(problem.u)] > cfg.eps_abs)) or bool(
-            np.any(-y_neg[np.isinf(problem.l)] > cfg.eps_abs)
-        ):
-            return False
-        gap = 0.0
-        upper_mask = np.isfinite(problem.u) & (y_pos > 0.0)
-        if np.any(upper_mask):
-            gap += float(
-                np.sum(
-                    np.abs(problem.u[upper_mask] - ax[upper_mask])
-                    * y_pos[upper_mask]
-                )
-            )
-        lower_mask = np.isfinite(problem.l) & (y_neg < 0.0)
-        if np.any(lower_mask):
-            gap += float(
-                np.sum(
-                    np.abs(ax[lower_mask] - problem.l[lower_mask])
-                    * (-y_neg[lower_mask])
-                )
-            )
-        objective = float(0.5 * solution.x @ px + problem.q @ solution.x)
-        eps_gap = cfg.eps_abs + cfg.eps_rel * abs(objective)
-        return gap <= eps_gap
 
     def _admm(
         self, x: np.ndarray, z: np.ndarray, y: np.ndarray
@@ -761,7 +715,9 @@ class QPWorkspace:
         steps (that is the cache the next solve reuses).
         """
         problem, work, scaling = self._problem, self._work, self._scaling
+        a_t, work_a_t = self._a_t, self._work_a_t
         assert problem is not None and work is not None and scaling is not None
+        assert a_t is not None and work_a_t is not None
         assert self._rho_vec is not None and self._lu is not None
         cfg = self.settings
         n, m = problem.num_variables, problem.num_constraints
@@ -805,8 +761,8 @@ class QPWorkspace:
             x_orig = scaling.unscale_x(x)
             y_orig = scaling.unscale_y(y)
             z_orig = scaling.unscale_z(z)
-            r_prim, r_dual, prim_scale, dual_scale = _qp._residuals(
-                problem, x_orig, z_orig, y_orig
+            r_prim, r_dual, prim_scale, dual_scale, ax = _qp._residuals(
+                problem, a_t, x_orig, z_orig, y_orig
             )
             eps_prim = cfg.eps_abs + cfg.eps_rel * prim_scale
             eps_dual = cfg.eps_abs + cfg.eps_rel * dual_scale
@@ -830,7 +786,7 @@ class QPWorkspace:
                 and r_prim <= cfg.early_polish_factor * eps_prim
                 and r_dual <= cfg.early_polish_factor * eps_dual
             ):
-                active_lower, active_upper = guess_active_set(problem, x_orig, y_orig)
+                active_lower, active_upper = guess_active_set(problem, ax, y_orig)
                 key = active_lower.tobytes() + active_upper.tobytes()
                 if key not in self._failed_masks:
                     system = self._build_active_system(active_lower, active_upper)
@@ -838,18 +794,10 @@ class QPWorkspace:
                     if system is not None:
                         px, py = self._solve_active_system(system)
                         if np.all(np.isfinite(px)):
-                            res = kkt_residuals(problem, px, py)
-                            refined = QPSolution(
-                                x=px,
-                                y=py,
-                                objective=problem.objective(px),
-                                status=QPStatus.OPTIMAL,
-                                iterations=iteration,
-                                primal_residual=res.primal,
-                                dual_residual=res.dual,
-                                polished=True,
+                            _, refined = certify_kkt_point(
+                                problem, a_t, px, py, cfg.eps_abs, cfg.eps_rel
                             )
-                    if refined is not None and self._certifies_optimal(refined):
+                    if refined is not None:
                         self._polish_system = system
                         self._early_polished = refined
                         status = QPStatus.OPTIMAL
@@ -859,7 +807,7 @@ class QPWorkspace:
                     self._failed_masks.add(key)
 
             if _qp._check_primal_infeasible(
-                problem, scaling.unscale_y(y - y_prev), cfg.infeasibility_eps
+                problem, a_t, scaling.unscale_y(y - y_prev), cfg.infeasibility_eps
             ):
                 status = QPStatus.PRIMAL_INFEASIBLE
                 break
@@ -871,7 +819,7 @@ class QPWorkspace:
 
             if cfg.adaptive_rho_interval and iteration % cfg.adaptive_rho_interval == 0:
                 # Balance the *scaled* residuals — they drive the iteration.
-                rs_prim, rs_dual, ps, ds = _qp._residuals(work, x, z, y)
+                rs_prim, rs_dual, ps, ds, _ = _qp._residuals(work, work_a_t, x, z, y)
                 scaled_prim = rs_prim / max(ps, 1e-12)
                 scaled_dual = rs_dual / max(ds, 1e-12)
                 ratio = np.sqrt(scaled_prim / max(scaled_dual, 1e-12))

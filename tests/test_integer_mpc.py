@@ -9,7 +9,9 @@ from repro.control.integer_mpc import IntegerMPCController
 from repro.control.loop import run_closed_loop
 from repro.control.mpc import MPCConfig, MPCController
 from repro.core.instance import DSPPInstance
+from repro.prediction.naive import LastValuePredictor
 from repro.prediction.oracle import OraclePredictor
+from repro.simulation.scenario import build_small_scenario
 
 
 @pytest.fixture
@@ -105,4 +107,31 @@ class TestIntegerMPC:
         second = controller.step(demand[:, 1], prices[:, 1])
         assert second.new_state == pytest.approx(
             first.new_state + second.applied_control
+        )
+
+    def test_imputation_flags_match_continuous_controller(self):
+        scenario = build_small_scenario(num_periods=6, seed=1)
+        demand = scenario.demand.copy()
+        demand[0, 2] = np.nan
+        steps = {}
+        for cls in (MPCController, IntegerMPCController):
+            controller = cls(
+                scenario.instance,
+                LastValuePredictor(scenario.instance.num_locations),
+                LastValuePredictor(scenario.instance.num_datacenters),
+                MPCConfig(window=2, imputation="carry_forward"),
+            )
+            steps[cls] = [
+                controller.step(demand[:, k], scenario.prices[:, k]) for k in range(4)
+            ]
+        for continuous, integral in zip(steps[MPCController], steps[IntegerMPCController]):
+            if continuous.imputed_demand is None:
+                assert integral.imputed_demand is None
+            else:
+                np.testing.assert_array_equal(
+                    integral.imputed_demand, continuous.imputed_demand
+                )
+            assert integral.imputed_prices is None and continuous.imputed_prices is None
+        np.testing.assert_array_equal(
+            steps[IntegerMPCController][2].imputed_demand, [True, False, False]
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.core.matrices import build_qp_structure, build_qp_vectors
-from repro.solvers.qp import QPSettings, QPStatus, solve_qp
+from repro.simulation.scenario import build_paper_scenario
+from repro.solvers.kkt import certify_kkt_point, kkt_residuals
+from repro.solvers.qp import QPProblem, QPSettings, QPStatus, solve_qp
 from repro.solvers.workspace import QPWorkspace
 from repro.verify.generators import (
     TIERS,
@@ -391,3 +394,143 @@ class TestWorkspaceProperties:
     @settings(max_examples=15)
     def test_crossover_matches_cold_on_random_walks(self, seed, num_updates, scale):
         self._walk(seed, num_updates, scale, QPSettings(early_polish=True))
+
+
+class _NoProduct:
+    """Stands in for ``A'`` where the certificate must not form ``A'y``."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __matmul__(self, other):
+        raise AssertionError("A'y formed after a primal rejection")
+
+
+class TestStagedCertificate:
+    """``certify_kkt_point`` on small hand-built QPs (eps_abs = eps_rel = 1e-6)."""
+
+    EPS = 1e-6
+
+    @staticmethod
+    def _coupled_box():
+        # min 1/2|x|^2 - 2 x1 - 2 x2  s.t.  x1 + x2 <= 2,  0 <= x1, x2 <= 10.
+        # Optimum x = (1, 1); the coupling row carries y = +1.
+        return QPProblem.build(
+            np.eye(2),
+            [-2.0, -2.0],
+            [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            [-np.inf, 0.0, 0.0],
+            [2.0, 10.0, 10.0],
+        )
+
+    def _certify(self, problem, x, y, a_t=None):
+        a_t = problem.A.T if a_t is None else a_t
+        return certify_kkt_point(
+            problem, a_t, np.asarray(x, float), np.asarray(y, float), self.EPS, self.EPS
+        )
+
+    def test_accepts_exact_kkt_point(self):
+        problem = self._coupled_box()
+        x, y = np.array([1.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        ax, solution = self._certify(problem, x, y)
+        np.testing.assert_array_equal(ax, problem.A @ x)
+        assert solution is not None
+        assert solution.status is QPStatus.OPTIMAL and solution.polished
+        # The fields come from the certificate's own products, bit for bit
+        # what the solver-independent residuals and objective compute.
+        residuals = kkt_residuals(problem, x, y)
+        assert solution.primal_residual == residuals.primal
+        assert solution.dual_residual == residuals.dual
+        assert solution.objective == problem.objective(x) == -3.0
+
+    def test_rejects_primal_violation_before_forming_dual_products(self):
+        problem = self._coupled_box()
+        # Stationary (x + q + A'y = 0) but x1 + x2 = 3 breaks the bound 2.
+        x, y = np.array([1.5, 1.5]), np.array([0.5, 0.0, 0.0])
+        assert kkt_residuals(problem, x, y).dual == 0.0
+        ax, solution = self._certify(problem, x, y, a_t=_NoProduct((2, 3)))
+        assert solution is None
+        np.testing.assert_array_equal(ax, [3.0, 1.5, 1.5])
+
+    def test_rejects_multiplier_on_infinite_bound(self):
+        # min 1/2 x^2 - x  s.t.  x >= 0: the optimum is x = 1 with y = 0.
+        # (0, +1) is feasible and stationary, but y presses on u = +inf.
+        problem = QPProblem.build([[1.0]], [-1.0], [[1.0]], [0.0], [np.inf])
+        x, y = np.array([0.0]), np.array([1.0])
+        residuals = kkt_residuals(problem, x, y)
+        assert residuals.primal == 0.0 and residuals.dual == 0.0
+        _, solution = self._certify(problem, x, y)
+        assert solution is None
+
+    def test_rejects_spread_gap(self):
+        # min 1/2|x|^2 + q'x  s.t.  x_i <= 0 on 50 rows; each trial row
+        # sits 1e-6 inside its bound with y_i = 1: every row residual is
+        # within eps, but the summed gap 5e-5 is not.
+        k, slack = 50, 1e-6
+        x = np.full(k, -slack)
+        y = np.ones(k)
+        problem = QPProblem.build(
+            np.eye(k), -x - y, np.eye(k), np.full(k, -np.inf), np.zeros(k)
+        )
+        assert kkt_residuals(problem, x, y).worst <= self.EPS
+        _, solution = self._certify(problem, x, y)
+        assert solution is None
+
+
+class TestCachedTransposes:
+    def test_steady_state_solves_build_no_transpose(self, monkeypatch):
+        scenario = build_paper_scenario(num_periods=12, seed=0)
+        instance = scenario.instance
+        window = 6
+        ws = DSPPWorkspace()
+        transposed = []
+        for cls in (sp.csc_matrix, sp.csr_matrix, sp.coo_matrix):
+
+            def counting(self, *args, _original=cls.transpose, **kwargs):
+                transposed.append(self)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "transpose", counting)
+
+        state = instance.initial_state
+        per_solve = []
+        for k in range(6):
+            before = len(transposed)
+            solution = solve_dspp(
+                instance.with_initial_state(state),
+                scenario.demand[:, k : k + window],
+                scenario.prices[:, k : k + window],
+                workspace=ws,
+            )
+            state = np.maximum(state + solution.first_control, 0.0)
+            per_solve.append(len(transposed) - before)
+            if k == 0:
+                # The set-up solve runs ADMM with an adaptive-rho
+                # refactorization (banded backend).
+                assert solution.qp.iterations > 0
+                assert ws._qp.num_factorizations >= 2
+        qp = ws._qp
+        own = [m for m in transposed if m is qp.problem.A or m is qp._work.A]
+        assert len(own) == 2  # A' and its scaled twin, once per setup
+        assert per_solve[1:] == [0] * 5
+        assert ws.num_setups == 1
+
+        snapshot = ws.__getstate__()["_qp"]
+        for field in ("_a_t", "_work_a_t", "_failed_masks", "_early_polished", "_lu"):
+            assert field not in snapshot
+        assert not any(sp.issparse(value) for value in snapshot.values())
+
+    def test_snapshot_drops_transposes_and_scratch(self, rng):
+        P, q, A, l, u = _random_qp(rng)
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws.setup(P, A, q=q, l=l, u=u)
+        ws.solve()
+        state = ws.__getstate__()
+        for field in ("_a_t", "_work_a_t", "_failed_masks", "_early_polished", "_lu", "_work"):
+            assert field not in state
+        restored = pickle.loads(pickle.dumps(ws))
+        assert restored._a_t is not None and restored._work_a_t is not None
+        q, l, u = _perturb(rng, q, l, u)
+        ws.update(q=q, l=l, u=u)
+        restored.update(q=q, l=l, u=u)
+        np.testing.assert_array_equal(restored.solve().x, ws.solve().x)
