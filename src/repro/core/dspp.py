@@ -56,7 +56,10 @@ class DSPPWorkspace:
     transparently rebuilds itself when the structure genuinely changed
     (different horizon, SLA matrix, reconfiguration weights, server size or
     elastic mode) — capacity swaps and state advances never trigger a
-    rebuild.
+    rebuild.  A rebuild for a window that is the old one minus its first
+    period (a finite run's last periods) keeps the warm state: the iterates
+    and the cached active set are shifted one period, so the first solve
+    on the shorter window starts with the crossover, not a cold ADMM run.
 
     Attributes:
         num_setups: structure (re)builds performed, each paying the full
@@ -154,11 +157,19 @@ class DSPPWorkspace:
         # resolution flips never reuses the other layout's structure.
         sparsify = resolve_sparsify(instance, effective_settings.sparsify_columns)
         fingerprint = structure_fingerprint(instance, T, elastic, sparsify=sparsify)
-        reusable = (
-            self._structure is not None
-            and self._structure.fingerprint == fingerprint
-            and self._settings == effective_settings
-        )
+        old = self._structure
+        same_settings = self._settings == effective_settings
+        reusable = old is not None and old.fingerprint == fingerprint and same_settings
+        # A finite run's last periods solve windows of W-1, ..., 1 periods
+        # that keep the window's end: the new window is the old one minus
+        # its first period, so the set-up carries the warm state across.
+        carry = None
+        if (
+            old is not None
+            and same_settings
+            and fingerprint[:2] + (T + 1,) + fingerprint[3:] == old.fingerprint
+        ):
+            carry = old.blocks.shift_indices()
         if not reusable:
             self._structure = build_qp_structure(
                 instance, T, elastic=elastic, sparsify=sparsify
@@ -180,6 +191,7 @@ class DSPPWorkspace:
                 u=u,
                 settings=effective_settings,
                 blocks=structure.blocks,
+                carry=carry,
             )
         qp_solution = self._qp.solve()
         stacked = StackedQP(

@@ -323,6 +323,40 @@ class QPBlockView:
         offset = self.slack_row_offset
         return slice(offset + step * V, offset + (step + 1) * V)
 
+    def shift_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and rows of periods ``1..T-1``, in the ``(T-1)``-period layout.
+
+        A window that keeps its end and drops its first period is this
+        structure with ``num_steps - 1``: its period ``t`` is period
+        ``t + 1`` here, in every variable family (``x``, ``u``, ``w``) and
+        every row family (dynamics, demand, capacity, nonnegativity,
+        slack).  Entry ``i`` of each array is the index *in this layout*
+        of column (row) ``i`` of the shorter one, so ``v[columns]``
+        restricts a vector of this problem to the next window.
+
+        Raises:
+            ValueError: if the horizon has a single period.
+        """
+        T = self.num_steps
+        if T < 2:
+            raise ValueError("a one-period horizon has no later periods to keep")
+        pairs, L, V = self.pairs_per_step, self.num_datacenters, self.num_locations
+
+        def later(offset: int, width: int) -> np.ndarray:
+            return np.arange(offset + width, offset + T * width)
+
+        columns = [later(0, pairs), later(self.num_x, pairs)]
+        rows = [
+            later(self.dynamics_row_offset, pairs),
+            later(self.demand_row_offset, V),
+            later(self.capacity_row_offset, L),
+            later(self.nonneg_row_offset, pairs),
+        ]
+        if self.elastic:
+            columns.append(later(2 * self.num_x, V))
+            rows.append(later(self.slack_row_offset, V))
+        return np.concatenate(columns), np.concatenate(rows)
+
 
 @dataclass(frozen=True)
 class StackedQP:

@@ -199,12 +199,15 @@ class ActiveSetSystem:
         a_active: the active rows of ``A``; iterative refinement multiplies
             by this (and ``P``) rather than materializing the unregularized
             KKT matrix, whose assembly would cost more than the solve.
+        a_active_t: ``a_active.T``, formed once for the KKT assembly and
+            reused by every refinement step.
     """
 
     active_lower: np.ndarray
     active_upper: np.ndarray
     lu: spla.SuperLU
     a_active: sp.csc_matrix
+    a_active_t: sp.csr_matrix
 
 
 @check_shapes("ax:(m,)", "y:(m,)", ret=("(m,)", "(m,)"))
@@ -251,12 +254,13 @@ def build_active_set_system(
     if not np.any(active):
         return None
     a_active = problem.A[active]
+    a_active_t = a_active.T
     n = problem.num_variables
     k = a_active.shape[0]
     reg = _POLISH_REGULARIZATION
     kkt = sp.bmat(
         [
-            [problem.P + reg * sp.identity(n, format="csc"), a_active.T],
+            [problem.P + reg * sp.identity(n, format="csc"), a_active_t],
             [a_active, -reg * sp.identity(k, format="csc")],
         ],
         format="csc",
@@ -266,7 +270,11 @@ def build_active_set_system(
     except RuntimeError:
         return None
     return ActiveSetSystem(
-        active_lower=active_lower, active_upper=active_upper, lu=lu, a_active=a_active
+        active_lower=active_lower,
+        active_upper=active_upper,
+        lu=lu,
+        a_active=a_active,
+        a_active_t=a_active_t,
     )
 
 
@@ -299,7 +307,7 @@ def solve_active_set_system(
         nu = sol[n:]
         residual = np.concatenate(
             [
-                rhs[:n] - (problem.P @ x_trial + system.a_active.T @ nu),
+                rhs[:n] - (problem.P @ x_trial + system.a_active_t @ nu),
                 rhs[n:] - system.a_active @ x_trial,
             ]
         )

@@ -241,8 +241,17 @@ class QPWorkspace:
         u: VectorLike | None = None,
         settings: QPSettings | None = None,
         blocks: QPBlockView | None = None,
+        carry: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Install a problem structure: validate, equilibrate, factorize.
+
+        A set-up drops the stored iterates and the cached active-set
+        system, unless ``carry`` maps the new problem into the previous
+        one.  Then both are restricted to the mapped columns and rows: the
+        iterates are rescaled under the new Ruiz scaling, and the active-set
+        system is rebuilt from the restricted masks (equality rows forced
+        to the upper mask, masks on infinite bounds cleared), so the next
+        :meth:`solve` starts with the crossover as any warm solve does.
 
         Args:
             P: symmetric PSD cost matrix, shape ``(n, n)``.
@@ -256,11 +265,18 @@ class QPWorkspace:
             blocks: per-period block structure of a stacked horizon QP;
                 enables the block-banded KKT backend (see
                 ``QPSettings.kkt_backend``).  Must match ``P``/``A``.
+            carry: ``(columns, rows)``, the index in the previous problem of
+                each column and row of the new one (see
+                :meth:`repro.core.matrices.QPBlockView.shift_indices`).
+                :class:`~repro.core.dspp.DSPPWorkspace` passes it when a
+                window drops its first period.
 
         Raises:
             ValueError: on malformed inputs (see
-                :meth:`repro.solvers.qp.QPProblem.build`), or when the
-                banded backend is forced without (matching) blocks.
+                :meth:`repro.solvers.qp.QPProblem.build`), when the
+                banded backend is forced without (matching) blocks, or when
+                ``carry`` does not match the new problem or nothing was set
+                up before.
         """
         if settings is not None:
             self.settings = settings
@@ -278,6 +294,19 @@ class QPWorkspace:
         if u is None:
             u = np.full(m, np.inf)
         problem = QPProblem.build(P_csc, q, A_csc, l, u)
+        prev = self._problem
+        if carry is not None and (
+            prev is None
+            or carry[0].shape != (n,)
+            or carry[1].shape != (m,)
+            or carry[0].max(initial=-1) >= prev.num_variables
+            or carry[1].max(initial=-1) >= prev.num_constraints
+        ):
+            raise ValueError(
+                f"carry must map ({n},) columns and ({m},) rows into a "
+                "previously set-up problem"
+            )
+        old_scaling, old_system = self._scaling, self._polish_system
 
         if blocks is not None and (
             blocks.num_variables != n or blocks.num_constraints != m
@@ -299,7 +328,6 @@ class QPWorkspace:
         )
 
         if cfg.scaling_iterations > 0:
-            prev = self._problem
             if (
                 prev is not None
                 and self._work is not None
@@ -335,10 +363,19 @@ class QPWorkspace:
         self._rho_vec = _qp._rho_vector(work, cfg.rho)
         self._factorize_current()
         self.num_setups += 1
-        self._x = self._z = self._y = None
         self._stale_scaling = False
         self._best_warm_iterations = None
         self._polish_system = None
+        if carry is None:
+            self._x = self._z = self._y = None
+            return
+        assert old_scaling is not None and self._equality is not None
+        self._migrate_iterates(old_scaling, scaling, carry)
+        if old_system is not None:
+            rows, equality = carry[1], self._equality
+            active_lower = old_system.active_lower[rows] & np.isfinite(problem.l) & ~equality
+            active_upper = (old_system.active_upper[rows] & np.isfinite(problem.u)) | equality
+            self._polish_system = self._build_active_system(active_lower, active_upper)
 
     def _install(self, problem: QPProblem, work: QPProblem) -> None:
         """Install the original and scaled problems and what derives from
@@ -433,16 +470,31 @@ class QPWorkspace:
             work, scaling = problem, _qp._identity_scaling(
                 problem.num_variables, problem.num_constraints
             )
-        if self._x is not None and self._z is not None and self._y is not None:
-            self._x = scaling.scale_x(old.unscale_x(self._x))
-            self._y = scaling.scale_y(old.unscale_y(self._y))
-            self._z = scaling.e * old.unscale_z(self._z)
+        self._migrate_iterates(old, scaling)
         self._install(problem, work)
         self._scaling = scaling
         self._rho_vec = _qp._rho_vector(work, cfg.rho)
         self._factorize_current()
         self._stale_scaling = False
         self._best_warm_iterations = None
+
+    def _migrate_iterates(
+        self,
+        old: _qp._Scaling,
+        new: _qp._Scaling,
+        carry: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Move the stored iterates from scaling ``old`` into ``new``,
+        restricted to the ``(columns, rows)`` of ``carry`` if given."""
+        if self._x is None or self._z is None or self._y is None:
+            return
+        x, y, z = old.unscale_x(self._x), old.unscale_y(self._y), old.unscale_z(self._z)
+        if carry is not None:
+            columns, rows = carry
+            x, y, z = x[columns], y[rows], z[rows]
+        self._x = new.scale_x(x)
+        self._y = new.scale_y(y)
+        self._z = new.e * z
 
     @check_shapes("q:(n,)", "l:(m,)", "u:(m,)")
     def update(

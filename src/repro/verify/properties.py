@@ -25,7 +25,8 @@ The registered properties:
 ``demand_monotonicity``               objective non-decreasing in demand
 ``price_monotonicity``                objective non-decreasing in prices
 ``horizon1_mpc_equals_myopic``        window-1 MPC ≡ direct one-period solve
-``workspace_resolve_equals_cold``     DSPPWorkspace reuse ≡ fresh solves
+``workspace_resolve_equals_cold``     DSPPWorkspace reuse ≡ fresh solves,
+                                      through one-period window shrinks
 ``integer_sandwich``                  continuous ≤ brute-force integer ≤
                                       rounded-repair cost
 ``elastic_infeasible``                hard solve raises, elastic solve pays
@@ -61,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.control.mpc import MPCConfig, MPCController
-from repro.core.dspp import DSPPInfeasibleError, DSPPWorkspace, solve_dspp
+from repro.core.dspp import DSPPInfeasibleError, DSPPSolution, DSPPWorkspace, solve_dspp
 from repro.events.arrivals import MMPPArrivals, PoissonArrivals, RegionalShockArrivals
 from repro.events.calibration import CalibrationCollector
 from repro.events.collectors import (
@@ -671,12 +672,21 @@ def prop_horizon1_mpc_equals_myopic(
 def prop_workspace_resolve_equals_cold(
     rng: np.random.Generator, tier: ScaleTier
 ) -> list[Discrepancy]:
-    """DSPPWorkspace resolves (forecast/state/capacity updates) ≡ cold solves."""
+    """DSPPWorkspace resolves (forecast/state/capacity updates, then window
+    shrinks) ≡ cold solves.
+
+    Half the walks end by shrinking the window one period at a time, as a
+    finite run's last periods do: the forecasts lose their first period
+    and the state advances along the warm solution.  The shrinks are drawn
+    from a generator spawned off ``rng``, which leaves ``rng``'s own
+    stream, and so the update chain, as it was without them.
+    """
+    shrink_rng = rng.spawn(1)[0]
     instance, demand, prices = _draw_problem(rng, tier, load=0.5)
     workspace = DSPPWorkspace()
     findings: list[Discrepancy] = []
-    num_solves = int(rng.integers(2, 5))
-    for step in range(num_solves):
+
+    def compare(label: str) -> DSPPSolution:
         warm = solve_dspp(instance, demand, prices, workspace=workspace)
         cold = solve_dspp(instance, demand, prices)
         gap = relative_gap(warm.objective, cold.objective)
@@ -684,11 +694,17 @@ def prop_workspace_resolve_equals_cold(
             findings.append(
                 Discrepancy(
                     "workspace_resolve_equals_cold",
-                    f"solve {step}: workspace objective {warm.objective:.9g} vs "
+                    f"{label}: workspace objective {warm.objective:.9g} vs "
                     f"cold {cold.objective:.9g}",
                     gap,
                 )
             )
+        return warm
+
+    num_solves = int(rng.integers(2, 5))
+    for step in range(num_solves):
+        solved = (instance, demand, prices)
+        warm = compare(f"solve {step}")
         # Mutate only vector-resident data: forecasts, state, capacities.
         horizon = demand.shape[1]
         demand = random_demand(rng, instance, horizon, load=0.5)
@@ -699,6 +715,13 @@ def prop_workspace_resolve_equals_cold(
             )
         if rng.random() < 0.5:
             instance = instance.with_initial_state(warm.trajectory.states[0])
+    instance, demand, prices = solved
+    horizon = demand.shape[1]
+    if horizon > 1 and shrink_rng.random() < 0.5:
+        for shrink in range(int(shrink_rng.integers(1, horizon))):
+            instance = instance.with_initial_state(warm.trajectory.states[0])
+            demand, prices = demand[:, 1:], prices[:, 1:]
+            warm = compare(f"shrink {shrink} to {demand.shape[1]} periods")
     return findings
 
 

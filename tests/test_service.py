@@ -161,10 +161,24 @@ class TestServiceLoop:
 
 
 class TestPaperScaleCrashRecovery:
-    """Kill and restore on the paper's 4 x 24, W=6 scenario."""
+    """Kill and restore on the paper's 4 x 24, W=6 scenario.
 
-    @pytest.mark.parametrize("interval", [1, 3])
-    def test_restore_at_paper_scale_is_bitwise(self, tmp_path, interval):
+    The 30-period run solves windows of 5, ..., 1 periods from period 25
+    on, each set up from the previous window's carried solver state, so a
+    crash at period 27 checks that a restored workspace carries exactly
+    as an uninterrupted one.
+    """
+
+    @pytest.mark.parametrize(
+        "interval, crash",
+        [
+            pytest.param(1, 17, id="1"),
+            pytest.param(3, 17, id="3"),
+            pytest.param(1, 27, id="1-tail27"),
+            pytest.param(3, 27, id="3-tail27"),
+        ],
+    )
+    def test_restore_at_paper_scale_is_bitwise(self, tmp_path, interval, crash):
         scenario = build_paper_scenario(num_periods=31, seed=4)
         config = ServiceConfig(window=6, checkpoint_interval=interval)
         clean = PlacementService(
@@ -172,10 +186,10 @@ class TestPaperScaleCrashRecovery:
         ).run()
         assert clean is not None
         crashed = PlacementService(scenario, config, checkpoint_dir=tmp_path / "crash")
-        assert crashed.run(until=17) is None
+        assert crashed.run(until=crash) is None
         del crashed
         resumed = PlacementService.restore(tmp_path / "crash")
-        assert resumed.period == 17 - 17 % interval
+        assert resumed.period == crash - crash % interval
         result = resumed.run()
         assert result is not None
         assert np.array_equal(clean.states, result.states)

@@ -343,6 +343,73 @@ class TestDSPPWorkspace:
         assert warm.qp.polished is False
 
 
+def _walk_to_end(scenario, window, settings=None, cold=False):
+    """Walk one ``DSPPWorkspace`` over a scenario with oracle windows, to
+    the run's last period; yields ``(horizon, warm, cold-or-None)`` per
+    period, the state advanced along the warm solution."""
+    instance = scenario.instance
+    num_periods = scenario.demand.shape[1]
+    ws = DSPPWorkspace()
+    state = instance.initial_state
+    for k in range(num_periods):
+        horizon = min(window, num_periods - k)
+        now = instance.with_initial_state(state)
+        demand = scenario.demand[:, k : k + horizon]
+        prices = scenario.prices[:, k : k + horizon]
+        warm = solve_dspp(now, demand, prices, settings=settings, workspace=ws)
+        reference = solve_dspp(now, demand, prices, settings=settings) if cold else None
+        yield horizon, warm, reference
+        state = warm.trajectory.states[0]
+
+
+class TestHorizonTailCarry:
+    """A window that drops its first period keeps the warm solver state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tail_solves_skip_admm_and_match_cold(self, seed):
+        scenario = build_paper_scenario(num_periods=12, seed=seed)
+        tail = [
+            (horizon, warm, cold)
+            for horizon, warm, cold in _walk_to_end(scenario, window=6, cold=True)
+            if horizon < 6
+        ]
+        assert [horizon for horizon, _, _ in tail] == [5, 4, 3, 2, 1]
+        for horizon, warm, cold in tail:
+            assert warm.qp.iterations == 0, f"T={horizon} ran ADMM"
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(
+                1.0, abs(cold.objective)
+            ), f"T={horizon}"
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_shift_indices_restrict_to_the_shorter_structure(self, elastic, sparsify):
+        rng = np.random.default_rng(3)
+        instance = random_instance(rng, TIERS["medium"])
+        if sparsify:
+            sla = instance.sla_coefficients.copy()
+            sla[0, 0] = np.inf
+            instance = replace(instance, sla_coefficients=sla)
+        long = build_qp_structure(instance, 4, elastic=elastic, sparsify=sparsify)
+        short = build_qp_structure(instance, 3, elastic=elastic, sparsify=sparsify)
+        columns, rows = long.blocks.shift_indices()
+        assert (short.A != long.A[rows][:, columns]).nnz == 0
+        assert (short.P != long.P[columns][:, columns]).nnz == 0
+        with pytest.raises(ValueError, match="one-period"):
+            build_qp_structure(instance, 1).blocks.shift_indices()
+
+    def test_setup_rejects_a_mismatched_carry(self, rng):
+        P, q, A, l, u = _random_qp(rng)
+        ws = QPWorkspace()
+        carry = (np.arange(8), np.arange(12))
+        with pytest.raises(ValueError, match="carry"):
+            ws.setup(P, A, q=q, l=l, u=u, carry=carry)
+        ws.setup(P, A, q=q, l=l, u=u)
+        with pytest.raises(ValueError, match="carry"):
+            ws.setup(P, A, q=q, l=l, u=u, carry=(np.arange(7), np.arange(12)))
+        ws.setup(P, A, q=q, l=l, u=u, carry=carry)
+        assert ws.solve().status is QPStatus.OPTIMAL
+
+
 class TestWorkspaceProperties:
     """Hypothesis-driven equivalence: warm/crossover solves vs fresh solve_qp.
 
@@ -519,6 +586,45 @@ class TestCachedTransposes:
         for field in ("_a_t", "_work_a_t", "_failed_masks", "_early_polished", "_lu"):
             assert field not in snapshot
         assert not any(sp.issparse(value) for value in snapshot.values())
+
+    def test_sparse_active_set_system_transposes_once_per_build(self, monkeypatch):
+        import repro.solvers.workspace as workspace_module
+
+        transposed = []
+        for cls in (sp.csc_matrix, sp.csr_matrix, sp.coo_matrix):
+
+            def counting(self, *args, _original=cls.transpose, **kwargs):
+                transposed.append(self)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "transpose", counting)
+        builds, solves = [], []
+
+        def counted(record, fn):
+            def wrapper(*args, **kwargs):
+                before = len(transposed)
+                result = fn(*args, **kwargs)
+                record.append((len(transposed) - before, result))
+                return result
+
+            return wrapper
+
+        for name, record in (
+            ("build_active_set_system", builds),
+            ("solve_active_set_system", solves),
+        ):
+            monkeypatch.setattr(
+                workspace_module, name, counted(record, getattr(workspace_module, name))
+            )
+        scenario = build_paper_scenario(num_periods=12, seed=0)
+        settings = QPSettings(early_polish=True, kkt_backend="sparse")
+        for _ in _walk_to_end(scenario, window=6, settings=settings):
+            pass
+        built = [system for _, system in builds if system is not None]
+        assert built and len(solves) > len(built)
+        own = [m for m in transposed if any(m is s.a_active for s in built)]
+        assert len(own) == len(built)  # one a_active.T per built system
+        assert [count for count, _ in solves] == [0] * len(solves)
 
     def test_snapshot_drops_transposes_and_scratch(self, rng):
         P, q, A, l, u = _random_qp(rng)
