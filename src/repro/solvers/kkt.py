@@ -122,8 +122,8 @@ def certify_kkt_point(
         a_t: ``problem.A.T``, which the caller caches per structure.
         x: trial primal point, shape ``(n,)``.
         y: trial multipliers, shape ``(m,)`` (QPSolution sign convention).
-        eps_abs: absolute tolerance (``QPSettings.eps_abs``).
-        eps_rel: relative tolerance (``QPSettings.eps_rel``).
+        eps_abs: absolute tolerance (the solver's ``_EPS_ABS``).
+        eps_rel: relative tolerance (the solver's ``_EPS_REL``).
 
     Returns:
         ``(ax, solution)``: ``ax = A x``, for the next active-set update

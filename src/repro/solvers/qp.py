@@ -14,7 +14,7 @@ controller and the best-response game dynamics.
 The implementation follows Stellato et al., "OSQP: an operator splitting
 solver for quadratic programs" (2020): a quasi-definite KKT system is
 factorized once per value of the step-size vector ``rho`` and reused across
-iterations; ``rho`` adapts to balance primal and dual residuals; an optional
+iterations; ``rho`` adapts to balance primal and dual residuals; an
 active-set *polish* step refines the ADMM iterate to near machine precision.
 """
 
@@ -23,16 +23,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.contracts import check_shapes
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids a package import cycle)
-    from repro.core.matrices import QPBlockView
 
 __all__ = [
     "MatrixLike",
@@ -48,6 +44,27 @@ __all__ = [
 MatrixLike = sp.spmatrix | np.ndarray | Sequence[Sequence[float]]
 VectorLike = np.ndarray | Sequence[float]
 
+# ADMM tuning (Stellato et al. 2020), fixed for every solve.  Termination
+# tests a residual against ``_EPS_ABS + _EPS_REL * scale`` on the original
+# problem every ``_CHECK_INTERVAL`` iterations; infeasibility certificates
+# use ``_INFEASIBILITY_EPS``.  ``_RHO`` is the initial step size (equality
+# rows get ``_EQUALITY_RHO_SCALE`` times it), adapted every
+# ``_ADAPTIVE_RHO_INTERVAL`` iterations when the scaled residuals are out of
+# balance by more than ``_ADAPTIVE_RHO_TOLERANCE``.  ``_SIGMA`` regularizes
+# the KKT system, ``_ALPHA`` relaxes the iteration, and every set-up runs
+# ``_SCALING_ITERATIONS`` Ruiz passes.  An early polish is attempted once
+# the residuals are within ``_EARLY_POLISH_FACTOR`` of the tolerances.
+_EPS_ABS = 1e-6
+_EPS_REL = 1e-6
+_RHO = 0.1
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_ADAPTIVE_RHO_INTERVAL = 50
+_ADAPTIVE_RHO_TOLERANCE = 5.0
+_CHECK_INTERVAL = 10
+_INFEASIBILITY_EPS = 1e-9
+_SCALING_ITERATIONS = 10
+_EARLY_POLISH_FACTOR = 1e4
 _EQUALITY_RHO_SCALE = 1e3
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
@@ -177,18 +194,23 @@ class QPSolution:
 
 @dataclass(frozen=True)
 class QPSettings:
-    """Tuning knobs for the ADMM iteration.
+    """The solver options callers vary.
 
-    The defaults are good for the (well-scaled) DSPP instances produced by
-    :mod:`repro.core.matrices`; tests exercise much harsher random QPs.
+    The ADMM tuning itself (tolerances, step sizes, relaxation, check and
+    adaptation intervals, equilibration passes) is fixed by the constants
+    at the top of this module; the values are good for the (well-scaled) DSPP
+    instances produced by :mod:`repro.core.matrices`, and tests exercise
+    much harsher random QPs with them.
+
+    ``max_iterations`` caps the ADMM iterations of one pass.
 
     ``early_polish`` trades ADMM tail iterations for KKT solves: once the
-    residuals reach ``early_polish_factor`` times the target tolerances,
+    residuals reach ``_EARLY_POLISH_FACTOR`` times the target tolerances,
     the active-set polish is attempted and its result *verified* against
-    the strict ``eps_abs``/``eps_rel`` criteria on the original problem —
-    accepted only if it passes, otherwise the iteration continues
-    unchanged.  Accuracy is therefore never reduced; only the route to it
-    changes.  Off in these defaults, which a raw :func:`solve_qp` or
+    the strict tolerances on the original problem — accepted only if it
+    passes, otherwise the iteration continues unchanged.  Accuracy is
+    therefore never reduced; only the route to it changes.  Off in these
+    defaults, which a raw :func:`solve_qp` or
     :class:`~repro.solvers.workspace.QPWorkspace` uses; every DSPP solve
     goes through a :class:`~repro.core.dspp.DSPPWorkspace`, which turns it
     on when the caller passes no settings.
@@ -214,31 +236,11 @@ class QPSettings:
     """
 
     max_iterations: int = 20000
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-6
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    adaptive_rho_interval: int = 50
-    adaptive_rho_tolerance: float = 5.0
-    polish: bool = True
-    check_interval: int = 10
-    infeasibility_eps: float = 1e-9
-    scaling_iterations: int = 10
     early_polish: bool = False
-    early_polish_factor: float = 1e4
     kkt_backend: str = "auto"
     sparsify_columns: str = "auto"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"relaxation alpha must be in (0, 2), got {self.alpha}")
-        if self.rho <= 0.0 or self.sigma <= 0.0:
-            raise ValueError("rho and sigma must be positive")
-        if self.early_polish_factor <= 1.0:
-            raise ValueError(
-                f"early_polish_factor must be > 1, got {self.early_polish_factor}"
-            )
         if self.kkt_backend not in ("auto", "sparse", "banded"):
             raise ValueError(
                 f"kkt_backend must be 'auto', 'sparse' or 'banded', "
@@ -401,27 +403,20 @@ def _ruiz_equilibrate(problem: QPProblem, iterations: int) -> tuple[QPProblem, _
     return scaling.apply(problem), scaling
 
 
-def _identity_scaling(n: int, m: int) -> _Scaling:
-    """The no-op scaling used when equilibration is disabled."""
-    return _Scaling(d=np.ones(n), e=np.ones(m), cost=1.0)
-
-
-def _rho_vector(problem: QPProblem, rho: float) -> np.ndarray:
-    """Per-constraint step sizes: equality rows get a stiffer rho."""
-    rho_vec = np.full(problem.num_constraints, rho, dtype=float)
+def _rho_vector(problem: QPProblem) -> np.ndarray:
+    """Initial per-constraint step sizes: equality rows get a stiffer rho."""
+    rho_vec = np.full(problem.num_constraints, _RHO, dtype=float)
     equality = problem.l == problem.u
     rho_vec[equality] *= _EQUALITY_RHO_SCALE
     return np.clip(rho_vec, _RHO_MIN, _RHO_MAX)
 
 
-def _factorize(
-    problem: QPProblem, sigma: float, rho_vec: np.ndarray
-) -> spla.SuperLU:
+def _factorize(problem: QPProblem, rho_vec: np.ndarray) -> spla.SuperLU:
     """Factorize the quasi-definite KKT matrix for the current rho vector."""
     assert np.all(rho_vec > 0.0)  # clipped to [_RHO_MIN, _RHO_MAX] upstream
     n = problem.num_variables
     m = problem.num_constraints
-    upper_left = problem.P + sigma * sp.identity(n, format="csc")
+    upper_left = problem.P + _SIGMA * sp.identity(n, format="csc")
     if m == 0:
         return spla.splu(upper_left.tocsc())
     lower_right = sp.diags(-1.0 / rho_vec, format="csc")
@@ -502,7 +497,6 @@ def solve_qp(
     l: VectorLike,
     u: VectorLike,
     settings: QPSettings | None = None,
-    blocks: "QPBlockView | None" = None,
 ) -> QPSolution:
     """Solve ``min 1/2 x'Px + q'x  s.t.  l <= Ax <= u``.
 
@@ -513,9 +507,6 @@ def solve_qp(
         l: lower bounds (``-inf`` allowed), shape ``(m,)``.
         u: upper bounds (``+inf`` allowed), shape ``(m,)``.
         settings: solver settings; defaults are sensible for DSPP instances.
-        blocks: optional :class:`~repro.core.matrices.QPBlockView`
-            describing the horizon block structure of ``(P, A)``; required
-            for (and enabling) the ``"banded"`` KKT backend.
 
     Returns:
         A :class:`QPSolution`.  ``status`` distinguishes optimality from
@@ -527,5 +518,5 @@ def solve_qp(
     from repro.solvers.workspace import QPWorkspace
 
     workspace = QPWorkspace(settings)
-    workspace.setup(P, A, q=q, l=l, u=u, blocks=blocks)
+    workspace.setup(P, A, q=q, l=l, u=u)
     return workspace.solve()

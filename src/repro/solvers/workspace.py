@@ -24,10 +24,10 @@ The Ruiz scaling is computed once at setup (from ``P``, ``A`` and the
 setup-time ``q``) and reused verbatim for every update, exactly as OSQP
 keeps its scaling fixed across ``update()`` calls.  Termination criteria
 are always evaluated on the *original* (unscaled, current) problem, so a
-workspace-reused solve satisfies the same ``eps_abs``/``eps_rel``
-tolerances as a cold :func:`~repro.solvers.qp.solve_qp` — solutions agree
-within solver tolerance even though the cached preconditioner differs from
-the one a cold solve would compute.
+workspace-reused solve satisfies the same tolerances as a cold
+:func:`~repro.solvers.qp.solve_qp` — solutions agree within solver
+tolerance even though the cached preconditioner differs from the one a
+cold solve would compute.
 
 ``solve_qp`` is a thin call on a throwaway workspace, and every DSPP
 solve runs on a :class:`~repro.core.dspp.DSPPWorkspace`, so there is one
@@ -80,16 +80,6 @@ _RESCALE_FLOOR = 100
 _RESCALE_FACTOR = 3.0
 
 
-def _same_matrix(a: Any, b: Any) -> bool:
-    """Bit-identical CSC matrices (same pattern *and* values)."""
-    return bool(
-        a.shape == b.shape
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 class QPWorkspace:
     """Reusable ADMM solver state for a sequence of same-structure QPs.
 
@@ -115,9 +105,7 @@ class QPWorkspace:
         self.num_setups = 0
         self.num_updates = 0
         self.num_factorizations = 0
-        # Ruiz passes actually run (setup re-uses the cached scaling when
-        # the new (P, A) are bit-identical to the cached ones, so repeated
-        # same-structure setups don't pay the equilibration again).
+        # Ruiz passes run: one per setup plus stale-scaling refreshes.
         self.num_equilibrations = 0
         self._problem: QPProblem | None = None
         self._work: QPProblem | None = None
@@ -127,7 +115,6 @@ class QPWorkspace:
         self._a_t: sp.csr_matrix | None = None
         self._work_a_t: sp.csr_matrix | None = None
         self._scaling: _qp._Scaling | None = None
-        self._scaling_iterations_used: int | None = None
         self._equality: np.ndarray | None = None
         self._rho_vec: np.ndarray | None = None
         self._lu: spla.SuperLU | BandedKKTSolver | None = None
@@ -327,40 +314,11 @@ class QPWorkspace:
             and use_banded_backend(blocks)
         )
 
-        if cfg.scaling_iterations > 0:
-            if (
-                prev is not None
-                and self._work is not None
-                and self._scaling is not None
-                and self._scaling_iterations_used == cfg.scaling_iterations
-                and _same_matrix(prev.P, problem.P)
-                and _same_matrix(prev.A, problem.A)
-            ):
-                # Same matrices, new vectors: the Ruiz diagonals (and the
-                # scaled P/A they produce) are still exact — only the
-                # vectors need rescaling.  This is the vector-only
-                # ``update()`` economy extended to repeat ``setup()``
-                # calls (e.g. same structure under new solver settings).
-                scaling = self._scaling
-                work = replace(
-                    self._work,
-                    q=scaling.cost * (scaling.d * problem.q),
-                    l=scaling.e * problem.l,
-                    u=scaling.e * problem.u,
-                )
-            else:
-                work, scaling = _qp._ruiz_equilibrate(problem, cfg.scaling_iterations)
-                self.num_equilibrations += 1
-            self._scaling_iterations_used = cfg.scaling_iterations
-        else:
-            work, scaling = problem, _qp._identity_scaling(
-                problem.num_variables, problem.num_constraints
-            )
-            self._scaling_iterations_used = 0
-
+        work, scaling = _qp._ruiz_equilibrate(problem, _qp._SCALING_ITERATIONS)
+        self.num_equilibrations += 1
         self._install(problem, work)
         self._scaling = scaling
-        self._rho_vec = _qp._rho_vector(work, cfg.rho)
+        self._rho_vec = _qp._rho_vector(work)
         self._factorize_current()
         self.num_setups += 1
         self._stale_scaling = False
@@ -398,7 +356,6 @@ class QPWorkspace:
         scaling = self._scaling
         rho_vec = self._rho_vec
         assert work is not None and scaling is not None and rho_vec is not None
-        cfg = self.settings
         lu: spla.SuperLU | BandedKKTSolver
         if self._use_banded:
             assert self._blocks is not None and self._work_a_t is not None
@@ -409,14 +366,14 @@ class QPWorkspace:
                     self._work_a_t,
                     scaling.d,
                     scaling.e,
-                    cfg.sigma,
+                    _qp._SIGMA,
                     rho_vec,
                 )
             except np.linalg.LinAlgError:
                 self._use_banded = False
-                lu = _qp._factorize(work, cfg.sigma, rho_vec)
+                lu = _qp._factorize(work, rho_vec)
         else:
-            lu = _qp._factorize(work, cfg.sigma, rho_vec)
+            lu = _qp._factorize(work, rho_vec)
         self._lu = lu
         self.num_factorizations += 1
         return lu
@@ -462,18 +419,12 @@ class QPWorkspace:
         problem = self._problem
         old = self._scaling
         assert problem is not None and old is not None
-        cfg = self.settings
-        if cfg.scaling_iterations > 0:
-            work, scaling = _qp._ruiz_equilibrate(problem, cfg.scaling_iterations)
-            self.num_equilibrations += 1
-        else:
-            work, scaling = problem, _qp._identity_scaling(
-                problem.num_variables, problem.num_constraints
-            )
+        work, scaling = _qp._ruiz_equilibrate(problem, _qp._SCALING_ITERATIONS)
+        self.num_equilibrations += 1
         self._migrate_iterates(old, scaling)
         self._install(problem, work)
         self._scaling = scaling
-        self._rho_vec = _qp._rho_vector(work, cfg.rho)
+        self._rho_vec = _qp._rho_vector(work)
         self._factorize_current()
         self._stale_scaling = False
         self._best_warm_iterations = None
@@ -546,7 +497,7 @@ class QPWorkspace:
             # polish system folds equality rows into its upper mask, so it
             # goes stale too.
             self._equality = equality
-            self._rho_vec = _qp._rho_vector(self._work, self.settings.rho)
+            self._rho_vec = _qp._rho_vector(self._work)
             self._factorize_current()
             self._polish_system = None
         self.num_updates += 1
@@ -601,20 +552,7 @@ class QPWorkspace:
             x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
             warm_seeded = False
 
-        if m == 0:
-            x = scaling.unscale_x(self._lu.solve(-work.q))
-            self._x, self._z, self._y = scaling.scale_x(x), z, y
-            return QPSolution(
-                x=x,
-                y=y,
-                objective=problem.objective(x),
-                status=QPStatus.OPTIMAL,
-                iterations=0,
-                primal_residual=0.0,
-                dual_residual=_qp._inf_norm(problem.P @ x + problem.q),
-            )
-
-        if cfg.early_polish and cfg.polish and self._polish_system is not None:
+        if cfg.early_polish and self._polish_system is not None:
             cached = self._try_cached_active_set()
             if cached is not None:
                 return cached
@@ -634,7 +572,7 @@ class QPWorkspace:
             # iterate and stalls).  Restart cold — reusing the equilibrated
             # problem and refreshing only the rho-dependent factorization —
             # and report the *cumulative* iteration count.
-            self._rho_vec = _qp._rho_vector(work, cfg.rho)
+            self._rho_vec = _qp._rho_vector(work)
             self._factorize_current()
             x, z, y, status, restart_iters, r_prim, r_dual = self._admm(
                 np.zeros(n), np.zeros(m), np.zeros(m)
@@ -678,7 +616,7 @@ class QPWorkspace:
             primal_residual=r_prim,
             dual_residual=r_dual,
         )
-        if cfg.polish and status is QPStatus.OPTIMAL:
+        if status is QPStatus.OPTIMAL:
             solution = polish_solution(problem, solution)
         return solution
 
@@ -705,29 +643,24 @@ class QPWorkspace:
         accepted.  A next working set that already failed this solve, or
         one past the attempt cap, ends the crossover before it is
         factorized.  Returns ``None`` if no attempt certifies, in which case
-        the caller falls back to ADMM — seeded from the last trial KKT
-        point, which is far closer to the new optimum than the previous
-        solve's iterates.
+        the caller falls back to ADMM from the previous solve's iterates.
         """
         problem = self._problem
         a_t = self._a_t
         system = self._polish_system
         assert problem is not None and a_t is not None and system is not None
-        cfg = self.settings
         key = system.active_lower.tobytes() + system.active_upper.tobytes()
-        seed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for attempt in range(1, self._MAX_CROSSOVER_ATTEMPTS + 1):
             x, y = self._solve_active_system(system)
             if not np.all(np.isfinite(x)):
                 self._failed_masks.add(key)
                 break
-            ax, solution = certify_kkt_point(problem, a_t, x, y, cfg.eps_abs, cfg.eps_rel)
+            ax, solution = certify_kkt_point(problem, a_t, x, y, _qp._EPS_ABS, _qp._EPS_REL)
             if solution is not None:
                 self._polish_system = system
                 self._store_iterates(x, y, ax)
                 return solution
             self._failed_masks.add(key)
-            seed = (x, y, ax)
             if attempt == self._MAX_CROSSOVER_ATTEMPTS:
                 break
             active_lower, active_upper = update_active_set(problem, ax, y)
@@ -738,11 +671,6 @@ class QPWorkspace:
             if next_system is None:
                 break
             system = next_system
-        if seed is not None:
-            # Even a rejected candidate is an exact KKT point of a nearby
-            # active set on the current data; seed ADMM from it so the
-            # iteration only has to move the rows whose activity flipped.
-            self._store_iterates(*seed)
         return None
 
     def _store_iterates(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray) -> None:
@@ -795,19 +723,19 @@ class QPWorkspace:
         for iteration in range(1, cfg.max_iterations + 1):
             x_prev = x
             y_prev = y
-            rhs[:n] = cfg.sigma * x - work.q
+            rhs[:n] = _qp._SIGMA * x - work.q
             rhs[n:] = z - y / rho_vec
             sol = lu.solve(rhs)
             x_tilde = sol[:n]
             nu = sol[n:]
             z_tilde = z + (nu - y) / rho_vec
-            x = cfg.alpha * x_tilde + (1.0 - cfg.alpha) * x_prev
-            z_relaxed = cfg.alpha * z_tilde + (1.0 - cfg.alpha) * z
+            x = _qp._ALPHA * x_tilde + (1.0 - _qp._ALPHA) * x_prev
+            z_relaxed = _qp._ALPHA * z_tilde + (1.0 - _qp._ALPHA) * z
             z_new = project_box(z_relaxed + y / rho_vec, work.l, work.u)
             y = y + rho_vec * (z_relaxed - z_new)
             z = z_new
 
-            if iteration % cfg.check_interval != 0:
+            if iteration % _qp._CHECK_INTERVAL != 0:
                 continue
 
             x_orig = scaling.unscale_x(x)
@@ -816,13 +744,13 @@ class QPWorkspace:
             r_prim, r_dual, prim_scale, dual_scale, ax = _qp._residuals(
                 problem, a_t, x_orig, z_orig, y_orig
             )
-            eps_prim = cfg.eps_abs + cfg.eps_rel * prim_scale
-            eps_dual = cfg.eps_abs + cfg.eps_rel * dual_scale
+            eps_prim = _qp._EPS_ABS + _qp._EPS_REL * prim_scale
+            eps_dual = _qp._EPS_ABS + _qp._EPS_REL * dual_scale
             if r_prim <= eps_prim and r_dual <= eps_dual:
                 status = QPStatus.OPTIMAL
                 break
 
-            if cfg.early_polish and cfg.polish:
+            if cfg.early_polish:
                 # Box projection puts active rows *exactly* on their (scaled)
                 # bound, so equality is the right test here.
                 signature = (z <= work.l) | (z >= work.u)
@@ -833,10 +761,9 @@ class QPWorkspace:
 
             if (
                 cfg.early_polish
-                and cfg.polish
                 and signature_stable
-                and r_prim <= cfg.early_polish_factor * eps_prim
-                and r_dual <= cfg.early_polish_factor * eps_dual
+                and r_prim <= _qp._EARLY_POLISH_FACTOR * eps_prim
+                and r_dual <= _qp._EARLY_POLISH_FACTOR * eps_dual
             ):
                 active_lower, active_upper = guess_active_set(problem, ax, y_orig)
                 key = active_lower.tobytes() + active_upper.tobytes()
@@ -847,7 +774,7 @@ class QPWorkspace:
                         px, py = self._solve_active_system(system)
                         if np.all(np.isfinite(px)):
                             _, refined = certify_kkt_point(
-                                problem, a_t, px, py, cfg.eps_abs, cfg.eps_rel
+                                problem, a_t, px, py, _qp._EPS_ABS, _qp._EPS_REL
                             )
                     if refined is not None:
                         self._polish_system = system
@@ -859,25 +786,26 @@ class QPWorkspace:
                     self._failed_masks.add(key)
 
             if _qp._check_primal_infeasible(
-                problem, a_t, scaling.unscale_y(y - y_prev), cfg.infeasibility_eps
+                problem, a_t, scaling.unscale_y(y - y_prev), _qp._INFEASIBILITY_EPS
             ):
                 status = QPStatus.PRIMAL_INFEASIBLE
                 break
             if _qp._check_dual_infeasible(
-                problem, scaling.unscale_x(x - x_prev), cfg.infeasibility_eps
+                problem, scaling.unscale_x(x - x_prev), _qp._INFEASIBILITY_EPS
             ):
                 status = QPStatus.DUAL_INFEASIBLE
                 break
 
-            if cfg.adaptive_rho_interval and iteration % cfg.adaptive_rho_interval == 0:
+            if m and iteration % _qp._ADAPTIVE_RHO_INTERVAL == 0:
                 # Balance the *scaled* residuals — they drive the iteration.
+                # An unconstrained QP has no step sizes to adapt.
                 rs_prim, rs_dual, ps, ds, _ = _qp._residuals(work, work_a_t, x, z, y)
                 scaled_prim = rs_prim / max(ps, 1e-12)
                 scaled_dual = rs_dual / max(ds, 1e-12)
                 ratio = np.sqrt(scaled_prim / max(scaled_dual, 1e-12))
                 if (
-                    ratio > cfg.adaptive_rho_tolerance
-                    or ratio < 1.0 / cfg.adaptive_rho_tolerance
+                    ratio > _qp._ADAPTIVE_RHO_TOLERANCE
+                    or ratio < 1.0 / _qp._ADAPTIVE_RHO_TOLERANCE
                 ):
                     rho_vec = np.clip(rho_vec * ratio, _qp._RHO_MIN, _qp._RHO_MAX)
                     self._rho_vec = rho_vec

@@ -143,9 +143,9 @@ __all__ = [
 ]
 
 # Relative slack granted to equalities between two converged solves.  The
-# ADMM terminates at eps_abs/eps_rel = 1e-6 and polishes most solutions to
-# far better, but objectives are O(1e2..1e4) here, so comparisons are
-# normalized by max(1, |a|, |b|) and use this headroom.
+# ADMM terminates at absolute and relative tolerances of 1e-6 and polishes
+# most solutions to far better, but objectives are O(1e2..1e4) here, so
+# comparisons are normalized by max(1, |a|, |b|) and use this headroom.
 _SOLVER_RTOL = 5e-5
 
 # Share of banded_equals_default draws taken from random_pruned_instance,
@@ -490,9 +490,13 @@ def prop_dspp_reference(rng: np.random.Generator, tier: ScaleTier) -> list[Discr
     # layout as the un-pruned stacked reference built below (the default
     # "auto" mode prunes columns on low-density draws, and the reference
     # warm start x0 would then mismatch P).  Pruned-vs-dense equivalence
-    # has its own gate: sparsified_equals_dense.
+    # has its own gate: sparsified_equals_dense.  Early polish stays on, as
+    # in every production DSPP solve.
     solution = solve_dspp(
-        instance, demand, prices, settings=QPSettings(sparsify_columns="off")
+        instance,
+        demand,
+        prices,
+        settings=QPSettings(early_polish=True, sparsify_columns="off"),
     )
     stacked = build_stacked_qp(instance, demand, prices)
     problem = QPProblem.build(stacked.P, stacked.q, stacked.A, stacked.l, stacked.u)

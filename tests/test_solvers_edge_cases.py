@@ -1,5 +1,5 @@
-"""Edge-case tests for the QP solver: iteration caps, LP degeneracy,
-adaptive rho, and termination bookkeeping."""
+"""Edge-case tests for the QP solver: iteration caps, LP degeneracy
+and termination bookkeeping."""
 
 from __future__ import annotations
 
@@ -25,9 +25,7 @@ def _hard_qp(seed=0, n=12, m=20):
 class TestIterationCap:
     def test_max_iterations_status(self):
         P, q, A, l, u = _hard_qp()
-        result = solve_qp(
-            P, q, A, l, u, settings=QPSettings(max_iterations=20, polish=False)
-        )
+        result = solve_qp(P, q, A, l, u, settings=QPSettings(max_iterations=20))
         assert result.status is QPStatus.MAX_ITERATIONS
         # Residuals are reported, not inf (it is a usable approximate point).
         assert np.isfinite(result.primal_residual)
@@ -60,38 +58,6 @@ class TestLPDegeneracy:
         result = solve_qp(P, q, A, l, u)
         assert result.is_optimal
         assert result.x == pytest.approx([1.0, 0.0], abs=1e-5)
-
-
-class TestAdaptiveRho:
-    def test_disabled_adaptation_still_converges(self):
-        P, q, A, l, u = _hard_qp(seed=3)
-        result = solve_qp(
-            P, q, A, l, u, settings=QPSettings(adaptive_rho_interval=0)
-        )
-        assert result.is_optimal
-
-    def test_aggressive_adaptation_converges(self):
-        P, q, A, l, u = _hard_qp(seed=4)
-        result = solve_qp(
-            P,
-            q,
-            A,
-            l,
-            u,
-            settings=QPSettings(
-                adaptive_rho_interval=10, adaptive_rho_tolerance=1.5
-            ),
-        )
-        assert result.is_optimal
-
-
-class TestCheckInterval:
-    def test_large_check_interval_converges(self):
-        P, q, A, l, u = _hard_qp(seed=5)
-        coarse = solve_qp(P, q, A, l, u, settings=QPSettings(check_interval=100))
-        fine = solve_qp(P, q, A, l, u, settings=QPSettings(check_interval=10))
-        assert coarse.is_optimal and fine.is_optimal
-        assert coarse.objective == pytest.approx(fine.objective, rel=1e-5)
 
 
 class TestDualAccuracy:

@@ -43,14 +43,16 @@ class TestResiduals:
 class TestPolish:
     def test_polish_marks_flag_and_improves(self):
         problem = _box_problem()
+        # Fewer iterations than one residual check: an unpolished ADMM point.
         rough = solve_qp(
             problem.P,
             problem.q,
             problem.A,
             problem.l,
             problem.u,
-            settings=QPSettings(polish=False, eps_abs=1e-4, eps_rel=1e-4),
+            settings=QPSettings(max_iterations=5),
         )
+        assert not rough.polished
         refined = polish_solution(problem, rough)
         old = kkt_residuals(problem, rough.x, rough.y)
         new = kkt_residuals(problem, refined.x, refined.y)
@@ -63,7 +65,7 @@ class TestPolish:
         )
         solution = solve_qp(
             problem.P, problem.q, problem.A, problem.l, problem.u,
-            settings=QPSettings(polish=False),
+            settings=QPSettings(max_iterations=5),
         )
         refined = polish_solution(problem, solution)
         assert refined.polished is False

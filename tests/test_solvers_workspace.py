@@ -88,26 +88,72 @@ class TestWorkspaceEquivalence:
         np.testing.assert_allclose(second.x, first.x, rtol=1e-6, atol=1e-8)
 
 
+class TestCrossoverFallback:
+    def test_failed_crossover_hands_admm_the_previous_iterates(self, rng):
+        P, q, A, l, u = random_qp(rng, "small")
+        dense_A = A.toarray()
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws.setup(P, A, q=q, l=l, u=u)
+        ws.solve()
+        crossover, admm = ws._try_cached_active_set, ws._admm
+        admm_starts = []
+
+        def stored():
+            return ws._x.copy(), ws._z.copy(), ws._y.copy()
+
+        def checked_crossover():
+            before = stored()
+            result = crossover()
+            if result is None:
+                # A rejected trial point is not stored over the iterates.
+                for old, new in zip(before, stored()):
+                    np.testing.assert_array_equal(new, old)
+            return result
+
+        def recorded_admm(x, z, y):
+            admm_starts.append((x.copy(), z.copy(), y.copy()))
+            return admm(x, z, y)
+
+        ws._try_cached_active_set = checked_crossover
+        ws._admm = recorded_admm
+        fallbacks = 0
+        for _ in range(4):
+            # Bounds move with A @ delta, so the walk stays feasible.
+            q = q + rng.normal(size=q.size)
+            shift = dense_A @ rng.normal(size=q.size)
+            l, u = l + shift, u + shift
+            ws.update(q=q, l=l, u=u)
+            before = stored()
+            admm_starts.clear()
+            assert ws.solve().status is QPStatus.OPTIMAL
+            if admm_starts:
+                fallbacks += 1
+                for start, old in zip(admm_starts[0], before):
+                    np.testing.assert_array_equal(start, old)
+        assert fallbacks > 0
+
+
 class TestFactorizationCaching:
     def test_updates_do_not_refactorize_same_pattern(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        # Disable adaptive rho so the only legal factorizations are setup
-        # and equality-pattern changes.
-        ws = QPWorkspace(settings=QPSettings(adaptive_rho_interval=0))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         assert ws.num_setups == 1
         assert ws.num_factorizations == 1
         for k in range(3):
+            ws.solve()
+            # Solves may refactorize on adaptive-rho steps; an update with
+            # an unchanged equality pattern never does.
+            before = ws.num_factorizations
             q, l, u = _perturb(rng, q, l, u)
             ws.update(q=q, l=l, u=u)
-            ws.solve()
+            assert ws.num_factorizations == before
         assert ws.num_setups == 1
         assert ws.num_updates == 3
-        assert ws.num_factorizations == 1
 
     def test_equality_pattern_change_refactorizes(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(adaptive_rho_interval=0))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         before = ws.num_factorizations
         u2 = u.copy()
@@ -120,13 +166,8 @@ class TestFactorizationCaching:
 
     def test_max_iterations_reports_cumulative_count(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        strict = QPSettings(
-            eps_abs=1e-14,
-            eps_rel=1e-14,
-            max_iterations=30,
-            polish=False,
-            adaptive_rho_interval=0,
-        )
+        # Fewer iterations than one residual check: no pass can terminate.
+        strict = QPSettings(max_iterations=5)
         ws = QPWorkspace(settings=strict)
         ws.setup(P, A, q=q, l=l, u=u)
         first = ws.solve()
@@ -152,9 +193,18 @@ class TestEdgeCases:
         solution = ws.solve()
         assert solution.status is QPStatus.OPTIMAL
         expected = np.linalg.solve(P.toarray(), -q)
-        # The workspace solves the sigma-regularized KKT system, so allow
-        # the regularization-sized bias.
         np.testing.assert_allclose(solution.x, expected, rtol=1e-4, atol=1e-5)
+
+    def test_unconstrained_iteration_never_refactorizes(self, rng):
+        # Ill-conditioned enough to run into the cap, past several
+        # adaptive-rho intervals: there are no step sizes to adapt.
+        n = 6
+        M = rng.normal(size=(n, n)) * 10.0 ** np.arange(-3.0, 3.0)
+        P = M @ M.T + 1e-6 * np.eye(n)
+        ws = QPWorkspace(settings=QPSettings(max_iterations=200))
+        ws.setup(P, np.zeros((0, n)), q=rng.normal(size=n))
+        assert ws.solve().status is QPStatus.MAX_ITERATIONS
+        assert ws.num_factorizations == 1
 
     def test_solve_before_setup_raises(self):
         ws = QPWorkspace()
@@ -336,11 +386,17 @@ class TestDSPPWorkspace:
         ws = DSPPWorkspace()
         demand = rng.uniform(5.0, 20.0, size=(2, 3))
         prices = rng.uniform(0.5, 2.0, size=(2, 3))
-        settings = QPSettings(polish=False)
-        warm = solve_dspp(
-            small_instance, demand, prices, settings=settings, workspace=ws
-        )
-        assert warm.qp.polished is False
+        # Plain QPSettings() leaves early polish off, which a DSPP solve
+        # without settings turns on: no crossover, so a repeat solve of the
+        # same data still runs ADMM.
+        settings = QPSettings()
+        for _ in range(2):
+            warm = solve_dspp(
+                small_instance, demand, prices, settings=settings, workspace=ws
+            )
+            assert warm.qp.iterations > 0
+        assert ws._qp.settings is settings
+        assert ws._qp._polish_system is None
 
 
 def _walk_to_end(scenario, window, settings=None, cold=False):
