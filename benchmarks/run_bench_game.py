@@ -51,9 +51,8 @@ from repro.solvers.qp import QPSettings
 
 __all__ = ["main"]
 
-# (L, V, W): data centers, locations, game horizon.  Mirrors the solver
-# benchmark's scale ladder (benchmarks/run_bench.py) minus the scales the
-# game never runs at.
+# (L, V, W): data centers, locations, game horizon.  The paper scale plus
+# the two scaling rows of the solver benchmark (benchmarks/run_bench.py).
 SCALES: dict[str, tuple[int, int, int]] = {
     "paper": (4, 24, 6),
     "xlarge": (8, 64, 12),

@@ -62,8 +62,8 @@ class DSPPWorkspace:
     on the shorter window starts with the crossover, not a cold ADMM run.
 
     Attributes:
-        num_setups: structure (re)builds performed, each paying the full
-            equilibrate + factorize price.
+        num_setups: structure (re)builds performed, each paying one Ruiz
+            equilibration (the KKT factorization waits for ADMM).
         num_updates: vector-only updates served from the cache.
     """
 

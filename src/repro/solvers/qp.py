@@ -335,7 +335,7 @@ def _segment_max(data: np.ndarray, indptr: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _ruiz_equilibrate(problem: QPProblem, iterations: int) -> tuple[QPProblem, _Scaling]:
+def _ruiz_equilibrate(problem: QPProblem) -> tuple[QPProblem, _Scaling]:
     """Modified Ruiz equilibration (the OSQP preconditioner).
 
     Iteratively scales variables and constraints toward unit infinity-norm
@@ -371,7 +371,7 @@ def _ruiz_equilibrate(problem: QPProblem, iterations: int) -> tuple[QPProblem, _
     ar_indptr = a_csr.indptr
 
     q0 = problem.q
-    for _ in range(iterations):
+    for _ in range(_SCALING_ITERATIONS):
         # Infinity norms of the currently-scaled KKT columns, computed from
         # the original data: scaled P column c is cost*d_c*max_r(d_r*|p|),
         # scaled A column c is d_c*max_r(e_r*|a|).

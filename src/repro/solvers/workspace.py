@@ -11,14 +11,16 @@ matrix.  None of that work depends on the vectors.
 :class:`QPWorkspace` splits the solve the way OSQP (Stellato et al. 2020)
 does:
 
-* :meth:`QPWorkspace.setup` — validate, equilibrate and factorize once for
-  a given ``(P, A)`` pair;
+* :meth:`QPWorkspace.setup` — validate and equilibrate once for a given
+  ``(P, A)`` pair;
 * :meth:`QPWorkspace.update` — swap in new ``q``/``l``/``u`` in ``O(n + m)``,
-  re-factorizing only if the equality pattern of the bounds changed (the
-  per-row step sizes depend on which rows are equalities);
+  dropping the KKT factorization only if the equality pattern of the
+  bounds changed (the per-row step sizes depend on which rows are
+  equalities);
 * :meth:`QPWorkspace.solve` — run the ADMM iteration, warm-started from
-  the previous solve's (scaled) iterates, re-factorizing only on
-  adaptive-rho changes.
+  the previous solve's (scaled) iterates.  The KKT system is factorized
+  by the first ADMM pass that needs it and again only on adaptive-rho
+  changes, so a solve the cached active set certifies factorizes nothing.
 
 The Ruiz scaling is computed once at setup (from ``P``, ``A`` and the
 setup-time ``q``) and reused verbatim for every update, exactly as OSQP
@@ -74,7 +76,7 @@ __all__ = ["QPWorkspace"]
 # times the best warm iteration count seen under the current scaling (and
 # more than _RESCALE_FLOOR iterations outright), the cached equilibration no
 # longer fits the drifted problem data and is refreshed before the next
-# solve.  One refresh costs one Ruiz pass + one factorization — far less
+# solve.  One refresh costs one Ruiz pass + a refactorization — far less
 # than the extra ADMM iterations a stale preconditioner keeps charging.
 _RESCALE_FLOOR = 100
 _RESCALE_FACTOR = 3.0
@@ -95,8 +97,8 @@ class QPWorkspace:
         settings: the :class:`~repro.solvers.qp.QPSettings` in effect.
         num_setups: how many times :meth:`setup` ran (structure rebuilds).
         num_updates: how many vector-only :meth:`update` calls were served.
-        num_factorizations: total KKT factorizations performed (setup,
-            equality-pattern changes and adaptive-rho steps); the gap
+        num_factorizations: total KKT factorizations performed (by ADMM
+            passes, on first use and on adaptive-rho steps); the gap
             between this and the solve count is the cached work.
     """
 
@@ -148,13 +150,14 @@ class QPWorkspace:
         The snapshot keeps only *logical* state: the original problem, the
         Ruiz scaling, the rho vector, the iterates and the cached polish
         system's active-set masks.  Everything else is a deterministic
-        function of those and is rebuilt by :meth:`__setstate__`: the
+        function of those and is rebuilt by :meth:`__setstate__` (the
         scaled problem ``_work``, the cached transposes and the equality
-        mask, the KKT factorization (a ``SuperLU`` is not picklable
-        anyway) and the polish system.  The per-solve scratch fields
-        (``_failed_masks``, ``_early_polished``) are dropped; their
-        serialized bytes would depend on hash randomization.  Two
-        snapshots of the same logical state are byte-identical.
+        mask, the polish system) or by the next ADMM pass (the KKT
+        factorization; a ``SuperLU`` is not picklable anyway).  The
+        per-solve scratch fields (``_failed_masks``, ``_early_polished``)
+        are dropped; their serialized bytes would depend on hash
+        randomization.  Two snapshots of the same logical state are
+        byte-identical.
         """
         state = dict(self.__dict__)
         system = state.pop("_polish_system")
@@ -180,12 +183,11 @@ class QPWorkspace:
 
         Every rebuild is bit-deterministic on the same machine: the scaled
         problem applies the stored scaling exactly as equilibration did,
-        the KKT factorization depends only on the scaled problem, sigma and
-        the rho vector, and the active-set system only on ``P``/``A`` plus
-        the stored masks.  The factorization counters are restored to their
-        checkpointed values — rehydration recomputes cached work, it does
-        not perform new work — so snapshot → restore → snapshot round-trips
-        byte-identically.
+        and the active-set system depends only on ``P``/``A`` plus the
+        stored masks.  The KKT factorization (a function of the scaled
+        problem, sigma and the rho vector) is left to the next ADMM pass,
+        so restoring counts no new work and snapshot → restore → snapshot
+        round-trips byte-identically.
         """
         state = dict(state)
         masks = state.pop("_polish_masks", None)
@@ -200,9 +202,6 @@ class QPWorkspace:
         problem, scaling = self._problem, self._scaling
         if problem is not None and scaling is not None:
             self._install(problem, scaling.apply(problem))
-            counters = (self.num_factorizations, self.num_equilibrations)
-            self._factorize_current()
-            self.num_factorizations, self.num_equilibrations = counters
             if masks is not None:
                 self._polish_system = self._build_active_system(*masks)
 
@@ -230,7 +229,7 @@ class QPWorkspace:
         blocks: QPBlockView | None = None,
         carry: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """Install a problem structure: validate, equilibrate, factorize.
+        """Install a problem structure: validate and equilibrate (no KKT factorization).
 
         A set-up drops the stored iterates and the cached active-set
         system, unless ``carry`` maps the new problem into the previous
@@ -314,12 +313,12 @@ class QPWorkspace:
             and use_banded_backend(blocks)
         )
 
-        work, scaling = _qp._ruiz_equilibrate(problem, _qp._SCALING_ITERATIONS)
+        work, scaling = _qp._ruiz_equilibrate(problem)
         self.num_equilibrations += 1
         self._install(problem, work)
         self._scaling = scaling
         self._rho_vec = _qp._rho_vector(work)
-        self._factorize_current()
+        self._lu = None
         self.num_setups += 1
         self._stale_scaling = False
         self._best_warm_iterations = None
@@ -413,19 +412,19 @@ class QPWorkspace:
 
         Updates between solves only touch vectors, so the Ruiz scaling from
         setup slowly stops matching the data the solver actually sees;
-        this recomputes it, refreshes the rho-dependent factorization, and
+        this recomputes it, drops the rho-dependent factorization, and
         migrates the stored warm-start iterates into the new scaled space.
         """
         problem = self._problem
         old = self._scaling
         assert problem is not None and old is not None
-        work, scaling = _qp._ruiz_equilibrate(problem, _qp._SCALING_ITERATIONS)
+        work, scaling = _qp._ruiz_equilibrate(problem)
         self.num_equilibrations += 1
         self._migrate_iterates(old, scaling)
         self._install(problem, work)
         self._scaling = scaling
         self._rho_vec = _qp._rho_vector(work)
-        self._factorize_current()
+        self._lu = None
         self._stale_scaling = False
         self._best_warm_iterations = None
 
@@ -498,7 +497,7 @@ class QPWorkspace:
             # goes stale too.
             self._equality = equality
             self._rho_vec = _qp._rho_vector(self._work)
-            self._factorize_current()
+            self._lu = None
             self._polish_system = None
         self.num_updates += 1
 
@@ -535,7 +534,6 @@ class QPWorkspace:
             or self._work is None
             or self._scaling is None
             or self._rho_vec is None
-            or self._lu is None
         ):
             raise RuntimeError("QPWorkspace.solve() before setup()")
         if self._stale_scaling:
@@ -573,7 +571,7 @@ class QPWorkspace:
             # problem and refreshing only the rho-dependent factorization —
             # and report the *cumulative* iteration count.
             self._rho_vec = _qp._rho_vector(work)
-            self._factorize_current()
+            self._lu = None
             x, z, y, status, restart_iters, r_prim, r_dual = self._admm(
                 np.zeros(n), np.zeros(m), np.zeros(m)
             )
@@ -691,19 +689,20 @@ class QPWorkspace:
 
         Returns the final scaled iterates, the termination status, the
         iteration count of this pass and the last original-scale residuals.
-        Mutates the workspace's rho vector / factorization on adaptive-rho
-        steps (that is the cache the next solve reuses).
+        Factorizes the KKT system if none is cached, and mutates the rho
+        vector / factorization on adaptive-rho steps (the cache the next
+        solve reuses).
         """
         problem, work, scaling = self._problem, self._work, self._scaling
         a_t, work_a_t = self._a_t, self._work_a_t
         assert problem is not None and work is not None and scaling is not None
         assert a_t is not None and work_a_t is not None
-        assert self._rho_vec is not None and self._lu is not None
+        assert self._rho_vec is not None
         cfg = self.settings
         n, m = problem.num_variables, problem.num_constraints
         rho_vec = self._rho_vec
         assert np.all(rho_vec > 0.0)  # clipped to [_RHO_MIN, _RHO_MAX]
-        lu = self._lu
+        lu = self._lu if self._lu is not None else self._factorize_current()
 
         rhs = np.empty(n + m)
         status = QPStatus.MAX_ITERATIONS

@@ -134,12 +134,23 @@ class TestCrossoverFallback:
 
 
 class TestFactorizationCaching:
-    def test_updates_do_not_refactorize_same_pattern(self, rng):
+    """The ADMM KKT system is factorized by the first ADMM pass that needs
+    it; set-up, a restore and an equality-pattern change only drop it."""
+
+    def test_setup_defers_factorization_to_the_first_admm_solve(self, rng):
         P, q, A, l, u = _random_qp(rng)
         ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         assert ws.num_setups == 1
+        assert ws.num_factorizations == 0
+        first = ws.solve()
+        assert first.status is QPStatus.OPTIMAL and first.iterations > 0
         assert ws.num_factorizations == 1
+
+    def test_updates_do_not_refactorize_same_pattern(self, rng):
+        P, q, A, l, u = _random_qp(rng)
+        ws = QPWorkspace()
+        ws.setup(P, A, q=q, l=l, u=u)
         for k in range(3):
             ws.solve()
             # Solves may refactorize on adaptive-rho steps; an update with
@@ -151,18 +162,70 @@ class TestFactorizationCaching:
         assert ws.num_setups == 1
         assert ws.num_updates == 3
 
+    def test_crossover_certified_solve_factorizes_nothing(self, rng):
+        P, q, A, l, u = _random_qp(rng)
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws.setup(P, A, q=q, l=l, u=u)
+        assert ws.solve().iterations > 0
+        before = ws.num_factorizations
+        # An identity carry keeps the iterates and the cached active set
+        # through a fresh set-up; the crossover then certifies the repeat
+        # solve, so neither the set-up nor the solve factorizes.
+        m, n = A.shape
+        ws.setup(P, A, q=q, l=l, u=u, carry=(np.arange(n), np.arange(m)))
+        repeat = ws.solve()
+        assert repeat.status is QPStatus.OPTIMAL and repeat.iterations == 0
+        assert ws.num_factorizations == before
+
     def test_equality_pattern_change_refactorizes(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace()
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
         ws.setup(P, A, q=q, l=l, u=u)
+        ws.solve()
         before = ws.num_factorizations
         u2 = u.copy()
         u2[0] = l[0]  # row 0 becomes an equality
         ws.update(u=u2)
-        assert ws.num_factorizations == before + 1
+        assert ws.num_factorizations == before
+        # The pattern change also drops the cached active set, so the next
+        # solve runs ADMM, which factorizes for the new step sizes.
         solution = ws.solve()
-        assert solution.status is QPStatus.OPTIMAL
+        assert solution.status is QPStatus.OPTIMAL and solution.iterations > 0
+        assert ws.num_factorizations > before
         assert abs(solution.x @ ws.problem.A[0].toarray().ravel() - l[0]) < 1e-4
+
+    def test_restored_workspace_factorizes_only_when_admm_runs(self, rng):
+        P, q, A, l, u = _random_qp(rng)
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws.setup(P, A, q=q, l=l, u=u)
+        ws.solve()
+        restored = pickle.loads(pickle.dumps(ws))
+        assert restored.num_factorizations == ws.num_factorizations
+        before = restored.num_factorizations
+        certified = restored.solve()
+        assert certified.iterations == 0
+        assert restored.num_factorizations == before
+        # Without the cached active set the next solve must run ADMM.
+        restored._polish_system = None
+        assert restored.solve().iterations > 0
+        assert restored.num_factorizations > before
+
+    def test_failed_banded_factorization_falls_back_to_sparse(self, rng, monkeypatch):
+        import repro.solvers.workspace as workspace_module
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular block")
+
+        monkeypatch.setattr(workspace_module, "BandedKKTSolver", failing)
+        _, structure, q, l, u = _structured_problem(rng)
+        ws = QPWorkspace(settings=QPSettings(early_polish=True, kkt_backend="banded"))
+        ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
+        assert ws._use_banded
+        warm = ws.solve()
+        assert not ws._use_banded
+        assert warm.status is QPStatus.OPTIMAL and warm.iterations > 0
+        cold = solve_qp(structure.P, q, structure.A, l, u, settings=QPSettings(early_polish=True))
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
 
     def test_max_iterations_reports_cumulative_count(self, rng):
         P, q, A, l, u = _random_qp(rng)
