@@ -14,14 +14,14 @@ certified with :func:`repro.verify.oracles.check_qp_kkt`.
 
 Per row, ``BENCH_solver.json`` records ``warm_step_ms`` (the mean wall
 time of steps 1.., since step 0 pays the set-up and the cold first
-solve), ``num_steps`` and ``kkt_worst`` (the row's worst scaled KKT
-residual).  The script exits 1 if any solve is not OPTIMAL or fails its
-certificate.
+solve), ``num_steps``, ``kkt_worst`` (the row's worst scaled KKT
+residual) and ``active_set_builds`` (active-set systems built over the
+timed steps, banded and sparse).  The script exits 1 if any solve is not
+OPTIMAL or fails its certificate.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_bench.py          # both rows
-    PYTHONPATH=src python benchmarks/run_bench.py --quick  # xlarge only, 8 steps
+    PYTHONPATH=src python benchmarks/run_bench.py
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ import json
 import os
 import platform
 import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+import repro.solvers.workspace as workspace_module
 from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.solvers.qp import QPStatus
@@ -44,12 +47,13 @@ __all__ = ["main"]
 
 # name: (L, V, W, usable-pair density, steps).  Most continental locations
 # can be served within their SLA by only a handful of nearby centers.
-# Continental steps take seconds each; six give a stable mean.
 SCALES: dict[str, tuple[int, int, int, float, int]] = {
     "xlarge": (8, 64, 12, 0.25, 24),
     "continental": (32, 512, 24, 0.06, 6),
 }
-QUICK_STEPS = 8
+
+# The workspace's active-set builders, by module attribute name.
+ACTIVE_SET_BUILDERS = ("build_banded_active_set_system", "build_active_set_system")
 
 # The tolerance check_qp_kkt certifies against, as in perfbench.
 KKT_TOL = 1e-4
@@ -89,23 +93,53 @@ def _observations(
     return demand, prices
 
 
-def bench_row(name: str, num_steps: int) -> tuple[dict[str, object], list[str]]:
+@contextmanager
+def _counting_builds() -> Iterator[list[int]]:
+    """Count the workspace's active-set builds while the block runs.
+
+    Yields a one-element counter.  The builders are wrapped where the
+    workspace looks them up, as perfbench wraps its entry points; a build
+    counts whether or not it returns a system.
+    """
+    counter = [0]
+    originals = {name: getattr(workspace_module, name) for name in ACTIVE_SET_BUILDERS}
+
+    def counted(fn: Callable[..., object]) -> Callable[..., object]:
+        def wrapper(*args: object, **kwargs: object) -> object:
+            counter[0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in originals.items():
+        setattr(workspace_module, name, counted(fn))
+    try:
+        yield counter
+    finally:
+        for name, fn in originals.items():
+            setattr(workspace_module, name, fn)
+
+
+def bench_row(name: str) -> tuple[dict[str, object], list[str]]:
     """One warm closed MPC loop; returns the row and its failures."""
-    L, V, W, density, _ = SCALES[name]
+    L, V, W, density, num_steps = SCALES[name]
     current = _instance(L, V, density, seed=0)
     demand, prices = _observations(L, V, num_steps + W, seed=1)
     workspace = DSPPWorkspace()
     times: list[float] = []
     kkt_worst = 0.0
     failures: list[str] = []
+    builds = 0
     for k in range(num_steps):
-        start = time.perf_counter()
-        solution = solve_dspp(
-            current, demand[:, k : k + W], prices[:, k : k + W], workspace=workspace
-        )
-        elapsed = time.perf_counter() - start
+        with _counting_builds() as step_builds:
+            start = time.perf_counter()
+            solution = solve_dspp(
+                current, demand[:, k : k + W], prices[:, k : k + W], workspace=workspace
+            )
+            elapsed = time.perf_counter() - start
         if k > 0:
             times.append(elapsed)
+            builds += step_builds[0]
         qp = solution.qp
         if qp.status is not QPStatus.OPTIMAL:
             failures.append(f"{name} step {k}: status {qp.status.value}")
@@ -125,13 +159,13 @@ def bench_row(name: str, num_steps: int) -> tuple[dict[str, object], list[str]]:
         "num_steps": num_steps,
         "warm_step_ms": round(1e3 * float(np.mean(times)), 3),
         "kkt_worst": kkt_worst,
+        "active_set_builds": builds,
     }
     return row, failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help=f"xlarge only, {QUICK_STEPS} steps")
     parser.add_argument("--out", default=None, help="output path (default: repo root)")
     args = parser.parse_args(argv)
     out = (
@@ -142,22 +176,21 @@ def main(argv: list[str] | None = None) -> int:
     scales: dict[str, object] = {}
     results = {
         "benchmark": "warm closed MPC loop, production solver path, beyond paper scale",
-        "quick": bool(args.quick),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "nproc": len(os.sched_getaffinity(0)),
         "scales": scales,
     }
     failures: list[str] = []
-    for name, (_, _, _, _, steps) in SCALES.items():
-        if args.quick and name != "xlarge":
-            continue
-        num_steps = QUICK_STEPS if args.quick else steps
-        print(f"== {name} ({num_steps} steps)")
-        row, row_failures = bench_row(name, num_steps)
+    for name in SCALES:
+        print(f"== {name} ({SCALES[name][4]} steps)")
+        row, row_failures = bench_row(name)
         scales[name] = row
         failures += row_failures
-        print(f"   warm {row['warm_step_ms']} ms/step, kkt_worst {row['kkt_worst']:.3e}")
+        print(
+            f"   warm {row['warm_step_ms']} ms/step, kkt_worst {row['kkt_worst']:.3e}, "
+            f"active-set builds {row['active_set_builds']}"
+        )
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out}")
     for failure in failures:

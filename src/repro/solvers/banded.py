@@ -42,15 +42,14 @@ fill-in grows superlinearly with ``T``.  Two solvers live here:
     slacks inside an active demand row fix their multiplier outright.
     What remains is a saddle system over the free ``x`` entries and the
     surviving demand/capacity rows whose ``x`` operator is block diagonal
-    over the ``(l, v)`` pairs (tiny tridiagonal chains in time), so the
-    kept-row Schur complement splits into per-location and per-center
-    ``T x T`` blocks — everything factorizes with batched dense LAPACK
-    calls and einsum contractions.  Masks that
-    violate the structural assumptions (an inactive dynamics row, a free
-    slack with no active demand row, a kept row with no free support)
-    return ``None`` from the builder and the caller falls back to the
-    sparse path; the workspace's optimality certificate guards
-    correctness either way.
+    over the pairs (tiny tridiagonal chains in time), so the kept-row
+    Schur complement splits into per-location and per-center ``T x T``
+    blocks — everything factorizes with batched dense LAPACK calls and
+    grouped sums.  Masks that violate the structural assumptions (an
+    inactive dynamics row, a free slack with no active demand row, a kept
+    row with no free support) return ``None`` from the builder and the
+    caller falls back to the sparse path; the workspace's optimality
+    certificate guards correctness either way.
 
 Neither solver ever slices the assembled CSC matrices: all block
 coefficients come from the :class:`~repro.core.matrices.QPBlockView`
@@ -60,12 +59,11 @@ ADMM system additionally uses the cached Ruiz diagonals).
 Both solvers work in *pair coordinates*: the per-period block width is
 ``view.pairs_per_step``, which under column sparsification (structures
 built with ``sparsify=True``) is the number of SLA-usable pairs rather
-than ``L * V``.  :class:`BandedKKTSolver` assembles its condensed blocks
-directly in the reduced coordinates through precomputed coupling
-patterns (pairs sharing a location / a data center);
-:class:`BandedActiveSetSystem` scatters the reduced problem onto the
-dense grid — pruned pairs pinned at their unique optimal value, zero —
-and gathers the solution back on exit.
+than ``L * V``.  A location's or a data center's pairs are summed with
+one ``np.bincount`` over precomputed bins (:func:`_period_bins`), and
+:class:`BandedKKTSolver` assembles its condensed blocks through
+precomputed coupling patterns (pairs sharing a location / a data
+center).
 """
 
 from __future__ import annotations
@@ -149,6 +147,17 @@ def _coupling_pattern(
     return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
 
+def _period_bins(group: np.ndarray, num_groups: int, num_steps: int) -> np.ndarray:
+    """Flat index ``t * num_groups + group[p]`` of each pair's group entry
+    in a ``(num_steps, num_groups)`` array, shape ``(num_steps, P)``.
+
+    ``a.take(bins)`` gathers a per-group array onto the pairs, and
+    ``np.bincount(bins.ravel(), x.ravel())`` — its adjoint — sums a
+    per-pair array over each group (a location's or a center's pairs).
+    """
+    return np.arange(num_steps)[:, None] * num_groups + group
+
+
 class BandedKKTSolver:
     """Block-tridiagonal factorization of the scaled ADMM KKT system.
 
@@ -215,7 +224,7 @@ class BandedKKTSolver:
         pair_loc = view.pair_location
         pair_dc = view.pair_datacenter
         coeff_p = view.active_demand_coeff
-        self._pair_loc = pair_loc
+        self._bin_loc = _period_bins(pair_loc, V, T)
 
         # Family-major reshapes of the diagonal scalings.
         d_x = d[:half].reshape(T, LV)
@@ -303,10 +312,6 @@ class BandedKKTSolver:
         self._idx_dc = dc_i * LV + dc_j
         self._loc_of = pair_loc[loc_i]
         self._dc_of = pair_dc[dc_i]
-        # Location incidence (group sums) for the elastic back-substitution.
-        self._inc_loc_t = sp.csr_matrix(
-            (np.ones(LV), (pair_loc, np.arange(LV))), shape=(V, LV)
-        )
 
         self._factorize_blocks()
 
@@ -393,7 +398,7 @@ class BandedKKTSolver:
         if self._elastic:
             fw = rhs[2 * half :].reshape(T, -1)
             fw_dw = fw / self._dw
-            fx -= self._wxv * fw_dw[:, self._pair_loc]
+            fx -= self._wxv * fw_dw.take(self._bin_loc)
         # Forward/backward substitution.  The block applies stream the
         # stored inverses from memory, so they run bandwidth-bound:
         # ``dsymv`` on the (symmetric) inverse reads half the matrix a
@@ -416,8 +421,8 @@ class BandedKKTSolver:
         out[:half] = x.reshape(-1)
         out[half : 2 * half] = u.reshape(-1)
         if self._elastic:
-            wsum = (self._inc_loc_t @ (self._wxv_dw * x).T).T  # (T, V)
-            out[2 * half :] = (fw_dw - wsum).reshape(-1)
+            wsum = np.bincount(self._bin_loc.ravel(), (self._wxv_dw * x).ravel(), fw.size)
+            out[2 * half :] = fw_dw.reshape(-1) - wsum
         return out
 
     @check_shapes("rhs:(k,)", ret="(k,)")
@@ -503,29 +508,11 @@ class BandedActiveSetSystem:
         V = view.num_locations
         half = view.num_x
         active = active_lower | active_upper
-        # The system's internal math always lives on the dense L*V pair
-        # grid.  Under the reduced (sparsified) layout, pruned pairs
-        # enter as pinned at zero — exactly the value the full
-        # optimality system assigns them — and the reduced layout is
-        # restored by gathering on exit.
-        self._reduced = view.active_pairs is not None
-        self._act_idx = view.active_indices
-        self._grid_pairs = L * V
         self._act_dem = active[view.demand_row_offset : view.capacity_row_offset].reshape(T, V)
         self._act_cap = active[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L)
-        pinned_reduced = active[
+        self._pinned_x = active[
             view.nonneg_row_offset : view.nonneg_row_offset + half
         ].reshape(T, view.pairs_per_step)
-        if self._reduced:
-            pinned = np.ones((T, self._grid_pairs), dtype=bool)
-            pinned[:, self._act_idx] = pinned_reduced
-            self._pinned_x = pinned
-            ch_grid = np.ones(self._grid_pairs)
-            ch_grid[self._act_idx] = view.control_hessian
-        else:
-            self._pinned_x = pinned_reduced
-            ch_grid = view.control_hessian
-        self._ch_grid = ch_grid
         if view.elastic:
             self._pinned_w = active[view.slack_row_offset :].reshape(T, V)
             # Active demand rows containing a *free* slack fix the row's
@@ -538,37 +525,40 @@ class BandedActiveSetSystem:
             self._dem_known = np.zeros((T, V), dtype=bool)
             self._kept_dem = self._act_dem
         self._free_x = ~self._pinned_x
+        self._bin_loc = _period_bins(view.pair_location, V, T)
+        self._bin_dc = _period_bins(view.pair_datacenter, L, T)
         # Filled by _factorize (via the builder).
-        self._chain_inv = np.zeros((0, 0, 0, 0))
+        self._chain_inv = np.zeros((0, 0, 0))
         self._sdd_inv = np.zeros((0, 0, 0))
         self._has_cap = False
         self._cap_eff_inv = np.zeros((0, 0))
         self._sdc = np.zeros((0, 0, 0, 0))
         self._sdd_inv_sdc = np.zeros((0, 0, 0, 0))
 
-    def _scatter(self, arr: np.ndarray) -> np.ndarray:
-        """Scatter a reduced ``(T, pairs_per_step)`` array onto the dense
-        pair grid (zero at pruned slots); identity in the dense layout."""
-        if not self._reduced:
-            return arr
-        grid = np.zeros((self._view.num_steps, self._grid_pairs))
-        grid[:, self._act_idx] = arr
-        return grid
+    def _loc_sum(self, a: np.ndarray) -> np.ndarray:
+        """Sum a ``(T, P)`` array over each location's pairs: ``(T, V)``."""
+        sums = np.bincount(self._bin_loc.ravel(), a.ravel(), self._act_dem.size)
+        return sums.reshape(self._act_dem.shape)
+
+    def _dc_sum(self, a: np.ndarray) -> np.ndarray:
+        """Sum a ``(T, P)`` array over each center's pairs: ``(T, L)``."""
+        sums = np.bincount(self._bin_dc.ravel(), a.ravel(), self._act_cap.size)
+        return sums.reshape(self._act_cap.shape)
 
     def _factorize(self) -> bool:
         """Batched factorization of the reduced saddle system.
 
         After the ``u`` elimination, the free-``x`` operator ``D`` is
-        block diagonal over the ``(l, v)`` pairs: each pair contributes a
-        tiny ``T x T`` tridiagonal chain (diagonal ``2c``/``c``, coupling
+        block diagonal over the pairs: each pair contributes a tiny
+        ``T x T`` tridiagonal chain (diagonal ``2c``/``c``, coupling
         ``-c`` between consecutive free periods, identity rows at pinned
-        periods).  All ``L*V`` chains are inverted in one batched LAPACK
-        call.  A kept demand row ``(t, v)`` touches only pairs of
-        location ``v``, and an active capacity row ``(t, l)`` only pairs
-        of center ``l``, so the kept-row Schur complement
-        ``S = G D^{-1} G'`` splits into ``V`` (and ``L``) independent
-        ``T x T`` blocks plus a small dense capacity coupling — again
-        batched inversions, no per-period Python loop anywhere.
+        periods).  All chains are inverted in one batched LAPACK call.
+        A kept demand row ``(t, v)`` touches only pairs of location
+        ``v``, and an active capacity row ``(t, l)`` only pairs of center
+        ``l``, so the kept-row Schur complement ``S = G D^{-1} G'``
+        splits into ``V`` (and ``L``) independent ``T x T`` blocks plus a
+        small dense capacity coupling — again batched inversions, no
+        per-period Python loop anywhere.
 
         Returns ``False`` when the masks violate a structural assumption
         (a kept row with no free support) or a block is singular; the
@@ -578,21 +568,22 @@ class BandedActiveSetSystem:
         T = view.num_steps
         L = view.num_datacenters
         V = view.num_locations
-        ch_g = self._ch_grid.reshape(L, V)
-        coeff = view.demand_coeff
+        P = view.pairs_per_step
+        ch = view.control_hessian
+        coeff = view.active_demand_coeff
         s = view.server_size
-        F = self._free_x.reshape(T, L, V)
+        F = self._free_x
         Fd = F.astype(float)
         tt = np.arange(T)
 
-        # Per-pair chains: D[l, v] is T x T tridiagonal.
-        interior = (tt < T - 1).astype(float)[:, None, None]
-        diag = np.where(F, ch_g[None, :, :] * (1.0 + interior), 1.0)
-        link = np.where(F[1:] & F[:-1], -ch_g[None, :, :], 0.0)
-        chains = np.zeros((L, V, T, T))
-        chains[:, :, tt, tt] = diag.transpose(1, 2, 0)
-        chains[:, :, tt[1:], tt[:-1]] = link.transpose(1, 2, 0)
-        chains[:, :, tt[:-1], tt[1:]] = link.transpose(1, 2, 0)
+        # Per-pair chains: D[p] is T x T tridiagonal.
+        interior = (tt < T - 1).astype(float)[:, None]
+        diag = np.where(F, ch * (1.0 + interior), 1.0)
+        link = np.where(F[1:] & F[:-1], -ch, 0.0)
+        chains = np.zeros((P, T, T))
+        chains[:, tt, tt] = diag.T
+        chains[:, tt[1:], tt[:-1]] = link.T
+        chains[:, tt[:-1], tt[1:]] = link.T
         try:
             chain_inv = np.linalg.inv(chains)
         except np.linalg.LinAlgError:
@@ -605,15 +596,25 @@ class BandedActiveSetSystem:
         kc = self._act_cap  # (T, L)
         # A kept row whose variables are all pinned has no free support;
         # the reduced system would be singular (sparse fallback instead).
-        usable = (coeff > 0.0).astype(float)
-        if np.any(kd & (np.einsum("lv,tlv->tv", usable, Fd) < 0.5)):
+        if np.any(kd & (self._loc_sum(Fd * (coeff > 0.0)) < 0.5)):
             return False
-        if np.any(kc & (F.sum(axis=2) < 1)):
+        if np.any(kc & (self._dc_sum(Fd) < 1)):
             return False
+
+        # D^{-1} restricted to free periods: the Schur terms of each pair,
+        # summed per location (center) over bins ``group * T^2 + cell``.
+        FdT = Fd.T
+        free_inv = FdT[:, :, None] * FdT[:, None, :] * chain_inv  # (P, T, T)
+        loc, dc = view.pair_location, view.pair_datacenter
+        cells = np.arange(T * T)
 
         # Demand-demand Schur blocks, independent per location v.
         kdT = kd.T.astype(float)  # (V, T)
-        sdd = np.einsum("lv,tlv,slv,lvts->vts", coeff * coeff, Fd, Fd, chain_inv)
+        sdd = np.bincount(
+            (loc[:, None] * (T * T) + cells).ravel(),
+            ((coeff * coeff)[:, None, None] * free_inv).ravel(),
+            V * T * T,
+        ).reshape(V, T, T)
         sdd *= kdT[:, :, None] * kdT[:, None, :]
         sdd[:, tt, tt] += 1.0 - kdT
         try:
@@ -627,13 +628,17 @@ class BandedActiveSetSystem:
         if self._has_cap:
             kcT = kc.T.astype(float)  # (L, T)
             # Capacity-capacity blocks, independent per center l...
-            scc = (s * s) * np.einsum("tlv,slv,lvts->lts", Fd, Fd, chain_inv)
+            scc = (s * s) * np.bincount(
+                (dc[:, None] * (T * T) + cells).ravel(), free_inv.ravel(), L * T * T
+            ).reshape(L, T, T)
             scc *= kcT[:, :, None] * kcT[:, None, :]
             scc[:, tt, tt] += 1.0 - kcT
-            # ... coupled to the demand blocks through shared pairs.
-            sdc = s * np.einsum("lv,tlv,slv,lvts->vtls", coeff, Fd, Fd, chain_inv)
-            sdc *= kdT[:, :, None, None]
-            sdc *= kcT[None, None, :, :]
+            # ... coupled to the demand blocks through shared pairs; each
+            # pair is exactly one (location, center) entry.
+            sdc = np.zeros((V, T, L, T))
+            sdc[loc, :, dc, :] = s * (coeff[:, None, None] * free_inv) * (
+                kdT[loc][:, :, None] * kcT[dc][:, None, :]
+            )
             self._sdc = sdc
             self._sdd_inv_sdc = np.einsum("vts,vslk->vtlk", self._sdd_inv, sdc)
             cap_eff = np.zeros((L, T, L, T))
@@ -648,31 +653,31 @@ class BandedActiveSetSystem:
         return True
 
     def _chain_solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply ``D^{-1}`` to a ``(T, L, V)`` grid right-hand side."""
-        return np.einsum("lvts,slv->tlv", self._chain_inv, r)
+        """Apply ``D^{-1}`` to a ``(T, P)`` right-hand side."""
+        return np.einsum("pts,sp->tp", self._chain_inv, r)
 
     def _solve_reduced(
         self, rx: np.ndarray, rd: np.ndarray, rc: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve ``[[D, G'], [G, 0]] [x; nu] = [rx; rd; rc]``.
 
-        ``rx`` is a ``(T, L, V)`` grid (zero at pinned entries), ``rd`` and
-        ``rc`` are the kept-row right-hand sides (``(T, V)`` / ``(T, L)``,
-        zero off the kept sets).  Returns the grid solution and the kept
+        ``rx`` is ``(T, P)`` (zero at pinned entries), ``rd`` and ``rc``
+        are the kept-row right-hand sides (``(T, V)`` / ``(T, L)``, zero
+        off the kept sets).  Returns the solution and the kept
         multipliers ``(x, nu_dem, nu_cap)``.
         """
         view = self._view
         T = view.num_steps
         L = view.num_datacenters
-        coeff = view.demand_coeff
+        coeff = view.active_demand_coeff
         s = view.server_size
         kd = self._kept_dem
         kc = self._act_cap
         t1 = self._chain_solve(rx)
-        g_d = np.where(kd, np.einsum("lv,tlv->tv", coeff, t1) - rd, 0.0)
+        g_d = np.where(kd, self._loc_sum(coeff * t1) - rd, 0.0)
         h_d = np.einsum("vts,vs->vt", self._sdd_inv, g_d.T)  # (V, T)
         if self._has_cap:
-            g_c = np.where(kc, s * t1.sum(axis=2) - rc, 0.0)  # (T, L)
+            g_c = np.where(kc, s * self._dc_sum(t1) - rc, 0.0)  # (T, L)
             h_c = g_c.T - np.einsum("vtlk,vt->lk", self._sdc, h_d)  # (L, T)
             nu_cap = (self._cap_eff_inv @ h_c.reshape(-1)).reshape(L, T)
             nu_dem = (h_d - np.einsum("vtlk,lk->vt", self._sdd_inv_sdc, nu_cap)).T
@@ -680,10 +685,8 @@ class BandedActiveSetSystem:
         else:
             nu_dem = h_d.T  # (T, V)
             nu_cap = np.zeros((T, L))
-        gt = (coeff[None, :, :] * nu_dem[:, None, :] + s * nu_cap[:, :, None]) * (
-            self._free_x.reshape(T, L, -1)
-        )
-        x = t1 - self._chain_solve(gt)
+        gt = coeff * nu_dem.take(self._bin_loc) + s * nu_cap.take(self._bin_dc)
+        x = t1 - self._chain_solve(gt * self._free_x)
         return x, nu_dem, nu_cap
 
     def _solve_raw(
@@ -697,22 +700,20 @@ class BandedActiveSetSystem:
     ) -> tuple[np.ndarray, ...]:
         """Solve ``[[P, A_act'], [A_act, 0]] [z; nu] = [rhs1; b]`` exactly.
 
-        ``b_*`` are family-major bound arrays *on the dense pair grid*;
-        entries at inactive rows are ignored.  Returns the family-major
-        grid-shaped primal/dual arrays
+        ``b_*`` are family-major bound arrays; entries at inactive rows
+        are ignored.  Returns the family-major primal/dual arrays
         ``(x, u, w, nu_dyn, nu_dem, nu_cap, nu_non, nu_slk)``.
         """
         view = self._view
         T = view.num_steps
-        L = view.num_datacenters
         V = view.num_locations
-        LV = self._grid_pairs
-        half = T * LV
-        ch = self._ch_grid
-        coeff = view.demand_coeff
+        P = view.pairs_per_step
+        half = view.num_x
+        ch = view.control_hessian
+        coeff = view.active_demand_coeff
         s = view.server_size
-        s1_x = rhs1[:half].reshape(T, LV)
-        s1_u = rhs1[half : 2 * half].reshape(T, LV)
+        s1_x = rhs1[:half].reshape(T, P)
+        s1_u = rhs1[half : 2 * half].reshape(T, P)
         s1_w = rhs1[2 * half :].reshape(T, V) if view.elastic else np.zeros((T, 0))
 
         xbar = np.where(self._pinned_x, b_non, 0.0)
@@ -726,41 +727,38 @@ class BandedActiveSetSystem:
         # Reduced stationarity rhs over x (see module docstring): the
         # substituted nu_dyn terms, pinned-neighbour couplings and known
         # demand multipliers all move to the right-hand side.
-        rx = s1_x + s1_u + ch[None, :] * b_dyn
-        rx[:-1] -= s1_u[1:] + ch[None, :] * b_dyn[1:]
-        rx[1:] += ch[None, :] * xbar[:-1]
-        rx[:-1] += ch[None, :] * xbar[1:]
-        rx -= (coeff[None, :, :] * nu_dem_known[:, None, :]).reshape(T, LV)
+        rx = s1_x + s1_u + ch * b_dyn
+        rx[:-1] -= s1_u[1:] + ch * b_dyn[1:]
+        rx[1:] += ch * xbar[:-1]
+        rx[:-1] += ch * xbar[1:]
+        rx -= coeff * nu_dem_known.take(self._bin_loc)
         # Kept-row rhs: pinned variables drop out as constants.
-        rd = b_dem - np.einsum("lv,tlv->tv", coeff, xbar.reshape(T, L, V))
+        rd = b_dem - self._loc_sum(coeff * xbar)
         if view.elastic:
             rd = rd - wbar
-        rc = b_cap - s * xbar.reshape(T, L, V).sum(axis=2)
+        rc = b_cap - s * self._dc_sum(xbar)
 
-        xg, nu_dem_kept, nu_cap_kept = self._solve_reduced(
-            np.where(self._free_x, rx, 0.0).reshape(T, L, V),
+        xr, nu_dem_kept, nu_cap_kept = self._solve_reduced(
+            np.where(self._free_x, rx, 0.0),
             np.where(self._kept_dem, rd, 0.0),
             np.where(self._act_cap, rc, 0.0),
         )
-        x = np.where(self._free_x, xg.reshape(T, LV), xbar)
+        x = np.where(self._free_x, xr, xbar)
         nu_dem = np.where(self._kept_dem, nu_dem_kept, nu_dem_known)
         nu_cap = np.where(self._act_cap, nu_cap_kept, 0.0)
 
         u = x - b_dyn
         u[1:] -= x[:-1]
-        nu_dyn = ch[None, :] * u - s1_u
+        nu_dyn = ch * u - s1_u
         if view.elastic:
             # Free slacks close their (active) demand row exactly.
-            w_from_row = b_dem - np.einsum("lv,tlv->tv", coeff, x.reshape(T, L, V))
-            w = np.where(self._pinned_w, wbar, w_from_row)
+            w = np.where(self._pinned_w, wbar, b_dem - self._loc_sum(coeff * x))
         else:
             w = np.zeros((T, 0))
 
         # Multipliers of the active bound rows, from the stationarity of
         # the variables they pin.
-        stat_dem = (coeff[None, :, :] * nu_dem[:, None, :]).reshape(T, LV)
-        stat_cap = np.repeat(s * nu_cap, V, axis=1)
-        stat = nu_dyn + stat_dem + stat_cap
+        stat = self._with_row_terms(nu_dyn, nu_dem, nu_cap)
         stat[:-1] -= nu_dyn[1:]
         nu_non = np.where(self._pinned_x, s1_x - stat, 0.0)
         if view.elastic:
@@ -768,6 +766,18 @@ class BandedActiveSetSystem:
         else:
             nu_slk = np.zeros((T, 0))
         return x, u, w, nu_dyn, nu_dem, nu_cap, nu_non, nu_slk
+
+    def _with_row_terms(
+        self, nu_dyn: np.ndarray, nu_dem: np.ndarray, nu_cap: np.ndarray
+    ) -> np.ndarray:
+        """``nu_dyn`` plus the demand and capacity rows' terms of each
+        ``x``'s stationarity, ``(T, P)``."""
+        view = self._view
+        return (
+            nu_dyn
+            + view.active_demand_coeff * nu_dem.take(self._bin_loc)
+            + (view.server_size * nu_cap).take(self._bin_dc)
+        )
 
     def solve(self, problem: QPProblem) -> tuple[np.ndarray, np.ndarray]:
         """Solve against the problem's current data (sparse-path contract).
@@ -787,59 +797,44 @@ class BandedActiveSetSystem:
         T = view.num_steps
         L = view.num_datacenters
         V = view.num_locations
-        LV = self._grid_pairs
-        half = view.num_x  # reduced-layout width of the problem vectors
-        nP = view.pairs_per_step
-        coeff = view.demand_coeff
-        ch = self._ch_grid
+        P = view.pairs_per_step
+        half = view.num_x
+        coeff = view.active_demand_coeff
+        ch = view.control_hessian
         s = view.server_size
         bound = np.where(self.active_lower, problem.l, problem.u)
         bound = np.where(self.active_lower | self.active_upper, bound, 0.0)
-        # Per-pair families are scattered to the grid: a pruned pair's
-        # dynamics rhs and nonneg bound are both exactly zero, matching
-        # its pinned-at-zero treatment.
-        b_dyn = self._scatter(bound[:half].reshape(T, nP))
+        b_dyn = bound[:half].reshape(T, P)
         b_dem = bound[view.demand_row_offset : view.capacity_row_offset].reshape(T, V)
         b_cap = bound[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L)
-        b_non = self._scatter(
-            bound[view.nonneg_row_offset : view.nonneg_row_offset + half].reshape(T, nP)
-        )
+        b_non = bound[view.nonneg_row_offset : view.nonneg_row_offset + half].reshape(T, P)
         b_slk = (
             bound[view.slack_row_offset :].reshape(T, V)
             if view.elastic
             else np.zeros((T, 0))
         )
 
-        q_x = self._scatter(problem.q[:half].reshape(T, nP))
-        q_u = self._scatter(problem.q[half : 2 * half].reshape(T, nP))
-        q_w = (
-            problem.q[2 * half :].reshape(T, V) if view.elastic else np.zeros((T, 0))
-        )
-        rhs1 = np.concatenate(
-            [(-q_x).reshape(-1), (-q_u).reshape(-1), (-q_w).reshape(-1)]
-        )
+        rhs1 = -problem.q
+        q_x = problem.q[:half].reshape(T, P)
+        q_u = problem.q[half : 2 * half].reshape(T, P)
+        q_w = problem.q[2 * half :].reshape(T, -1)
         parts = self._solve_raw(rhs1, b_dyn, b_dem, b_cap, b_non, b_slk)
         x, u, w, nu_dyn, nu_dem, nu_cap, nu_non, nu_slk = parts
 
         # One refinement pass against the exact (unregularized) system;
         # every matvec is a closed-form family expression on the view.
-        # At pruned slots every residual below is identically zero (the
-        # bound multiplier absorbs the capacity term), so refinement
-        # preserves the pinned zeros.
-        stat_dem = (coeff[None, :, :] * nu_dem[:, None, :]).reshape(T, LV)
-        stat_cap = np.repeat(s * nu_cap, V, axis=1)
-        r1_x = -q_x - (nu_dyn + stat_dem + stat_cap + nu_non)
+        r1_x = -q_x - (self._with_row_terms(nu_dyn, nu_dem, nu_cap) + nu_non)
         r1_x[:-1] += nu_dyn[1:]
-        r1_u = -q_u - (ch[None, :] * u - nu_dyn)
+        r1_u = -q_u - (ch * u - nu_dyn)
         r1_w = -q_w - (nu_dem + nu_slk) if view.elastic else q_w
         ax_dyn = x - u
         ax_dyn[1:] -= x[:-1]
         r2_dyn = b_dyn - ax_dyn
-        row_dem = np.einsum("lv,tlv->tv", coeff, x.reshape(T, L, V))
+        row_dem = self._loc_sum(coeff * x)
         if view.elastic:
             row_dem = row_dem + w
         r2_dem = np.where(self._act_dem, b_dem - row_dem, 0.0)
-        r2_cap = np.where(self._act_cap, b_cap - s * x.reshape(T, L, V).sum(axis=2), 0.0)
+        r2_cap = np.where(self._act_cap, b_cap - s * self._dc_sum(x), 0.0)
         r2_non = np.where(self._pinned_x, b_non - x, 0.0)
         r2_slk = np.where(self._pinned_w, b_slk - w, 0.0) if view.elastic else b_slk
 
@@ -854,10 +849,6 @@ class BandedActiveSetSystem:
         nu_slk = nu_slk + delta[7]
         u = u + delta[1]
 
-        if self._reduced:
-            idx = self._act_idx
-            x, u = x[:, idx], u[:, idx]
-            nu_dyn, nu_non = nu_dyn[:, idx], nu_non[:, idx]
         x_full = np.concatenate([x.reshape(-1), u.reshape(-1), w.reshape(-1)])
         y = np.concatenate(
             [

@@ -15,7 +15,14 @@ from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.core.matrices import build_qp_structure, build_qp_vectors
 from repro.simulation.scenario import build_paper_scenario
-from repro.solvers.kkt import certify_kkt_point, kkt_residuals
+from repro.solvers.banded import build_banded_active_set_system
+from repro.solvers.kkt import (
+    build_active_set_system,
+    certify_kkt_point,
+    guess_active_set,
+    kkt_residuals,
+    solve_active_set_system,
+)
 from repro.solvers.qp import QPProblem, QPSettings, QPStatus, solve_qp
 from repro.solvers.workspace import QPWorkspace
 from repro.verify.generators import (
@@ -369,6 +376,65 @@ class TestBlockBackendWorkspace:
         )
         assert warm.status is QPStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
+
+
+def _pruned_instance(capacity):
+    """A 4x6 instance with SLA-unusable pairs: location 0 is reachable
+    from center 0 only, and center 3 reaches no location at all."""
+    rng = np.random.default_rng(0)
+    L, V = 4, 6
+    usable = rng.random((L, V)) < 0.6
+    usable[:, 0] = False
+    usable[0, 0] = True
+    usable[3, :] = False
+    usable[0, ~usable.any(axis=0)] = True
+    return DSPPInstance(
+        datacenters=tuple(f"d{i}" for i in range(L)),
+        locations=tuple(f"v{i}" for i in range(V)),
+        sla_coefficients=np.where(usable, rng.uniform(0.05, 0.2, size=(L, V)), np.inf),
+        reconfiguration_weights=rng.uniform(0.5, 2.0, size=L),
+        capacities=np.full(L, capacity),
+        initial_state=np.zeros((L, V)),
+    )
+
+
+@pytest.mark.parametrize("sparsify", [False, True], ids=["dense", "reduced"])
+@pytest.mark.parametrize("elastic", [False, True], ids=["inelastic", "elastic"])
+@pytest.mark.parametrize("capacity", [1e5, 5.0], ids=["loose", "tight"])
+class TestBandedActiveSetSystem:
+    """The banded active-set system solves the same saddle system as the
+    sparse one, on the optimal working set of a converged solve."""
+
+    def test_matches_sparse_active_set_system(self, sparsify, elastic, capacity):
+        horizon = 5
+        instance = _pruned_instance(capacity)
+        rng = np.random.default_rng(1)
+        demand = rng.uniform(5.0, 15.0, size=(instance.num_locations, horizon))
+        prices = rng.uniform(0.5, 2.0, size=(instance.num_datacenters, horizon))
+        structure = build_qp_structure(
+            instance, horizon, elastic=elastic, sparsify=sparsify
+        )
+        q, l, u = build_qp_vectors(
+            structure, instance, demand, prices,
+            demand_slack_penalty=5.0 if elastic else None,
+        )
+        problem = QPProblem(structure.P, q, structure.A, l, u)
+        optimum = solve_qp(
+            structure.P, q, structure.A, l, u, settings=QPSettings(early_polish=True)
+        )
+        assert optimum.status is QPStatus.OPTIMAL
+        lower, upper = guess_active_set(problem, structure.A @ optimum.x, optimum.y)
+        view = structure.blocks
+        system = build_banded_active_set_system(view, lower, upper)
+        assert system is not None
+        assert system._has_cap == (capacity < 1e5)  # an active capacity row
+        assert system._chain_inv.shape[0] == view.pairs_per_step
+        x, y = system.solve(problem)
+        x_ref, y_ref = solve_active_set_system(
+            problem, build_active_set_system(problem, lower, upper)
+        )
+        np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(x_ref)))
+        np.testing.assert_allclose(y, y_ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(y_ref)))
 
 
 class TestBandedBackendDispatch:
