@@ -14,7 +14,9 @@ event-driven simulator.  This package continuously cross-checks them:
   KKT-residual certificates, all with tolerance-aware comparison.
 * :mod:`repro.verify.properties` — metamorphic properties (cost scale
   invariance, demand/price monotonicity, horizon-1 MPC ≡ myopic solve,
-  workspace resolve ≡ cold solve, routing optimality, ...).
+  routing optimality, ...) and the solve-path equivalences: one
+  receding-horizon walk per row of its pair table (banded ≡ sparse KKT
+  backend, sparsified ≡ dense layout, persistent workspace ≡ cold solves).
 * :mod:`repro.verify.runner` — the fuzz campaign driver: a budgeted,
   seeded sweep over all registered checks with automatic shrinking of
   failures to the smallest reproducing tier.

@@ -10,14 +10,13 @@ The registered properties:
 
 ====================================  =====================================
 ``qp_reference``                      ADMM/crossover vs scipy trust-constr
-``qp_workspace_sequence``             warm workspace resolve ≡ cold solve
-``banded_equals_default``             block-banded KKT backend ≡ sparse
-                                      backend along a workspace walk, on
-                                      dense and (a share of draws) pruned
-                                      reduced layouts
-``sparsified_equals_dense``           column-sparsified stacking ≡ dense
-                                      stacking along a workspace walk over
-                                      0–95% pruned instances
+``qp_workspace_sequence``             warm QPWorkspace resolve ≡ cold solve
+                                      on general QPs with equality rows
+``config_equivalence/backend``        banded KKT backend ≡ sparse backend
+``config_equivalence/layout``         sparsified columns ≡ dense columns
+``config_equivalence/warm``           persistent workspace ≡ cold solves,
+                                      each pair along one receding-horizon
+                                      walk (:data:`EQUIVALENCE_PAIRS`)
 ``dspp_reference``                    stacked DSPP QP vs trust-constr +
                                       trajectory feasibility audit
 ``cost_scale_invariance``             scaling prices and reconfiguration
@@ -25,8 +24,6 @@ The registered properties:
 ``demand_monotonicity``               objective non-decreasing in demand
 ``price_monotonicity``                objective non-decreasing in prices
 ``horizon1_mpc_equals_myopic``        window-1 MPC ≡ direct one-period solve
-``workspace_resolve_equals_cold``     DSPPWorkspace reuse ≡ fresh solves,
-                                      through one-period window shrinks
 ``integer_sandwich``                  continuous ≤ brute-force integer ≤
                                       rounded-repair cost
 ``elastic_infeasible``                hard solve raises, elastic solve pays
@@ -50,6 +47,9 @@ The registered properties:
                                       degradation ladder terminates every
                                       period
 ====================================  =====================================
+
+``qp_workspace_sequence`` is not a row of the pair table: it runs a raw
+``QPWorkspace`` on general (non-DSPP) QPs with equality rows.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import dataclasses
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,7 +122,8 @@ from repro.verify.oracles import (
 )
 
 __all__ = [
-    "prop_banded_equals_default",
+    "EQUIVALENCE_PAIRS",
+    "prop_config_equivalence",
     "prop_cost_scale_invariance",
     "prop_demand_monotonicity",
     "prop_dspp_reference",
@@ -138,8 +140,6 @@ __all__ = [
     "prop_routing_differential",
     "prop_service_crash_recovery",
     "prop_sharded_equilibrium_equals_serial",
-    "prop_sparsified_equals_dense",
-    "prop_workspace_resolve_equals_cold",
 ]
 
 # Relative slack granted to equalities between two converged solves.  The
@@ -147,10 +147,6 @@ __all__ = [
 # most solutions to far better, but objectives are O(1e2..1e4) here, so
 # comparisons are normalized by max(1, |a|, |b|) and use this headroom.
 _SOLVER_RTOL = 5e-5
-
-# Share of banded_equals_default draws taken from random_pruned_instance,
-# so the banded backend is also checked on reduced (sparsified) layouts.
-_PRUNED_SHARE = 0.4
 
 
 def _draw_problem(
@@ -250,236 +246,175 @@ def prop_qp_workspace_sequence(
     return findings
 
 
-def prop_banded_equals_default(
-    rng: np.random.Generator, tier: ScaleTier
-) -> list[Discrepancy]:
-    """The block-banded KKT backend ≡ the sparse backend, solve for solve.
+class _Pair(NamedTuple):
+    """Two solve paths of one DSPP problem: a row of :data:`EQUIVALENCE_PAIRS`.
 
-    Both backends factorize the same Ruiz-scaled KKT matrix (the banded
-    one refines its solves to ~1e-12 residual), so along a workspace walk
-    of vector updates the two paths must terminate with the same status
-    and — when both polish to the true optimum — objectives agreeing far
-    below solver tolerance, plus the same pattern of active constraints
-    (read off the dual signs).  Draws stay in the well-conditioned regime
-    the controller actually operates in: moderate loads and moderate slack
-    penalties, where the KKT solve (not ADMM path sensitivity) is the only
-    thing that differs between backends.  A share of the draws comes from
-    :func:`random_pruned_instance`, so the banded recursion also runs on
-    the column-sparsified (reduced pair) layout that ``"auto"`` picks
-    there.
+    The candidate solves on one persistent workspace, and the walk advances
+    the state along its trajectories.  The reference keeps one workspace
+    along the walk only if ``reference_persists``; otherwise each of its
+    solves is cold.  A ``pruned_share`` of draws comes from
+    :func:`random_pruned_instance`, the rest from :func:`random_instance`.
     """
+
+    reference: QPSettings
+    candidate: QPSettings
+    reference_persists: bool
+    pruned_share: float
+
+
+# The paths Algorithm 1 may take to the same horizon QP.  A new path
+# equivalence is a new row here, not a new check.  The layout pair draws
+# only pruned instances: random_instance may leave state at SLA-unusable
+# pairs, where sparsify_columns="on" refuses to prune.
+EQUIVALENCE_PAIRS: dict[str, _Pair] = {
+    "backend": _Pair(
+        QPSettings(early_polish=True, kkt_backend="sparse"),
+        QPSettings(early_polish=True, kkt_backend="banded"),
+        True,
+        0.4,
+    ),
+    "layout": _Pair(
+        QPSettings(early_polish=True, sparsify_columns="off"),
+        QPSettings(early_polish=True, sparsify_columns="on"),
+        True,
+        1.0,
+    ),
+    "warm": _Pair(QPSettings(early_polish=True), QPSettings(early_polish=True), False, 0.4),
+}
+
+
+def _dual_mismatches(a: np.ndarray, b: np.ndarray, signed: bool) -> int:
+    """Multipliers confidently nonzero on one side but zero (or, if
+    ``signed``, of the other sign) on the other."""
+    scale = float(max(np.max(np.abs(a), initial=1.0), np.max(np.abs(b), initial=1.0)))
+    pattern_a, pattern_b = np.abs(a) > 1e-6 * scale, np.abs(b) > 1e-6 * scale
+    if signed:
+        pattern_a, pattern_b = np.sign(a) * pattern_a, np.sign(b) * pattern_b
+    confident = np.maximum(np.abs(a), np.abs(b)) > 1e-5 * scale
+    return int(np.sum((pattern_a != pattern_b) & confident))
+
+
+def _compare_sides(
+    label: str,
+    pair: _Pair,
+    instance: DSPPInstance,
+    reference: DSPPSolution,
+    candidate: DSPPSolution,
+) -> list[Discrepancy]:
+    """Everything two solve paths of one DSPP problem must agree on."""
+    ref_qp, cand_qp = reference.qp, candidate.qp
+    if ref_qp.status is not cand_qp.status:
+        message = (
+            f"statuses diverge: reference {ref_qp.status.value} vs "
+            f"candidate {cand_qp.status.value}"
+        )
+        return [Discrepancy(label, message, math.inf)]
+    findings: list[Discrepancy] = []
+    # Two polished solves on persistent workspaces sit at the exact optimum
+    # of the same active-set system.  A cold solve may certify a different,
+    # equally optimal active set, so it gets solver tolerance, as does a
+    # declined polish.
+    exact = ref_qp.polished and cand_qp.polished and pair.reference_persists
+    gap = relative_gap(candidate.objective, reference.objective)
+    if gap > (1e-9 if exact else _SOLVER_RTOL):
+        message = (
+            f"candidate objective {candidate.objective:.12g} vs "
+            f"reference {reference.objective:.12g}"
+        )
+        findings.append(Discrepancy(label, message, gap))
+    # The objective is strictly convex in the state trajectory (the
+    # reconfiguration quadratic, pulled back through the invertible state
+    # equation): the optimum is unique, so the states must match too.
+    states, ref_states = candidate.trajectory.states, reference.trajectory.states
+    x_gap = float(np.max(np.abs(states - ref_states), initial=0.0))
+    x_gap /= max(1.0, float(np.max(np.abs(ref_states), initial=0.0)))
+    if x_gap > 1e-3:
+        message = f"state trajectories differ by {x_gap:.3e} (relative)"
+        findings.append(Discrepancy(label, message, x_gap))
+    # Capacity rows are never pruned, so their (T, L) multipliers line up
+    # on every path.
+    mismatched = _dual_mismatches(reference.capacity_duals, candidate.capacity_duals, False)
+    if mismatched:
+        message = f"{mismatched} capacity constraints are active on one side only"
+        findings.append(Discrepancy(label, message, float(mismatched)))
+    # On the same layout and solve path every row lines up, and the two
+    # sides must certify the same active set.
+    same_layout = pair.reference.sparsify_columns == pair.candidate.sparsify_columns
+    if pair.reference_persists and same_layout:
+        mismatched = _dual_mismatches(ref_qp.y, cand_qp.y, True)
+        if mismatched:
+            message = f"{mismatched} constraints are active on one side only"
+            findings.append(Discrepancy(label, message, float(mismatched)))
+    # Pruned pairs are pinned, not solved: the scatter-back writes literal
+    # zeros, and anything else would stop the next period's pruning.
+    usable = instance.usable_pairs
+    if pair.candidate.sparsify_columns == "on" and not usable.all():
+        leaked = int(np.count_nonzero(states[:, ~usable]))
+        if leaked:
+            message = f"{leaked} pruned-pair state entries are not exact zeros"
+            findings.append(Discrepancy(label, message, float(leaked)))
+    return findings
+
+
+def prop_config_equivalence(
+    rng: np.random.Generator, tier: ScaleTier, pair: str
+) -> list[Discrepancy]:
+    """The two solve paths of ``EQUIVALENCE_PAIRS[pair]`` agree, solve for
+    solve, along one receding-horizon walk.
+
+    The walk draws a problem in the well-conditioned regime the controller
+    operates in (moderate loads and slack penalties) and solves it 2–3
+    times.  Between solves it draws fresh forecasts, sometimes swaps the
+    capacities and sometimes advances the state.  Half the walks then
+    shrink the window one period at a time, as a finite run's last periods
+    do.  The swaps and shrinks are drawn from a generator spawned off
+    ``rng``, which leaves ``rng``'s own stream as it was without them.
+    """
+    config = EQUIVALENCE_PAIRS[pair]
+    moves = rng.spawn(1)[0]
     instance, demand, prices = _draw_problem(
         rng,
         tier,
         load=float(rng.uniform(0.3, 0.8)),
-        pruned=bool(rng.random() < _PRUNED_SHARE),
+        pruned=bool(rng.random() < config.pruned_share),
     )
     penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
-    workspaces = {
-        "sparse": DSPPWorkspace(),
-        "banded": DSPPWorkspace(),
-    }
+    reference_workspace = DSPPWorkspace() if config.reference_persists else None
+    sides = ((config.reference, reference_workspace), (config.candidate, DSPPWorkspace()))
     findings: list[Discrepancy] = []
-    num_solves = int(rng.integers(2, 4))
-    for step in range(num_solves):
-        label = f"banded_equals_default/step{step}"
-        solutions = {}
-        for backend, workspace in workspaces.items():
-            solutions[backend] = solve_dspp(
+
+    def compare(label: str) -> DSPPSolution:
+        reference, candidate = [
+            solve_dspp(
                 instance,
                 demand,
                 prices,
-                settings=QPSettings(early_polish=True, kkt_backend=backend),
+                settings=settings,
                 demand_slack_penalty=penalty,
                 workspace=workspace,
             )
-        sparse_qp = solutions["sparse"].qp
-        banded_qp = solutions["banded"].qp
-        if sparse_qp.status is not banded_qp.status:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"statuses diverge: sparse {sparse_qp.status.value} vs "
-                    f"banded {banded_qp.status.value}",
-                    math.inf,
-                )
-            )
-            break
-        # Two polished solutions both sit at the exact optimum of the
-        # active-set system, so they must agree to near machine precision;
-        # if either polish was declined, fall back to solver tolerance.
-        tol = 1e-9 if (sparse_qp.polished and banded_qp.polished) else _SOLVER_RTOL
-        gap = relative_gap(
-            solutions["banded"].objective, solutions["sparse"].objective
-        )
-        if gap > tol:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"banded objective {solutions['banded'].objective:.12g} vs "
-                    f"sparse {solutions['sparse'].objective:.12g}",
-                    gap,
-                )
-            )
-        # Active-set agreement: a constraint confidently active (nonzero
-        # dual) under one backend must be active under the other.
-        y_scale = max(
-            1.0,
-            float(np.max(np.abs(sparse_qp.y), initial=0.0)),
-            float(np.max(np.abs(banded_qp.y), initial=0.0)),
-        )
-        thresh = 1e-6 * y_scale
-        sparse_sign = np.sign(sparse_qp.y) * (np.abs(sparse_qp.y) > thresh)
-        banded_sign = np.sign(banded_qp.y) * (np.abs(banded_qp.y) > thresh)
-        confident = np.maximum(np.abs(sparse_qp.y), np.abs(banded_qp.y)) > 10 * thresh
-        mismatched = int(np.sum((sparse_sign != banded_sign) & confident))
-        if mismatched:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"{mismatched} constraints are active under one backend "
-                    "but inactive under the other",
-                    float(mismatched),
-                )
-            )
-        # Vector-only walk: fresh forecasts, occasionally a state advance —
-        # both workspaces see the identical sequence of updates.
-        horizon = demand.shape[1]
+            for settings, workspace in sides
+        ]
+        label = f"config_equivalence/{pair}/{label}"
+        findings.extend(_compare_sides(label, config, instance, reference, candidate))
+        return candidate
+
+    horizon = demand.shape[1]
+    candidate = compare("step0")
+    for step in range(1, int(rng.integers(2, 4))):
         demand = random_demand(rng, instance, horizon, load=0.5)
         prices = random_prices(rng, instance, horizon)
+        if moves.random() < 0.5:
+            swap = moves.uniform(0.9, 1.2, size=instance.num_datacenters)
+            instance = instance.with_capacities(instance.capacities * swap)
         if rng.random() < 0.4:
-            instance = instance.with_initial_state(
-                solutions["sparse"].trajectory.states[0]
-            )
-    return findings
-
-
-def prop_sparsified_equals_dense(
-    rng: np.random.Generator, tier: ScaleTier
-) -> list[Discrepancy]:
-    """Column-sparsified stacking ≡ dense stacking, solve for solve.
-
-    The usable-pair mask is exact (``inf`` SLA coefficients force zero
-    columns), so pruning those columns out of the stacked QP must change
-    *nothing observable*: along a workspace walk the two layouts must
-    agree on status, objective (to near machine precision when both
-    polish), the state trajectory, and the capacity-dual activity pattern.
-    The generator sweeps pruned fractions from 0% (where ``"on"``
-    resolves to the dense path) through 95% and the one-usable-center-
-    per-location edge; the walk advances *both* sides from the sparsified
-    run's states, which carry exact zeros at pruned pairs — precisely the
-    invariant that keeps receding-horizon loops prunable.
-    """
-    instance = random_pruned_instance(rng, tier)
-    horizon = int(rng.integers(1, tier.max_horizon + 1))
-    demand = random_demand(rng, instance, horizon, load=float(rng.uniform(0.3, 0.8)))
-    prices = random_prices(rng, instance, horizon)
-    penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
-    workspaces = {
-        "off": DSPPWorkspace(),
-        "on": DSPPWorkspace(),
-    }
-    findings: list[Discrepancy] = []
-    num_solves = int(rng.integers(2, 4))
-    for step in range(num_solves):
-        label = f"sparsified_equals_dense/step{step}"
-        solutions = {}
-        for sparsify, workspace in workspaces.items():
-            solutions[sparsify] = solve_dspp(
-                instance,
-                demand,
-                prices,
-                settings=QPSettings(early_polish=True, sparsify_columns=sparsify),
-                demand_slack_penalty=penalty,
-                workspace=workspace,
-            )
-        dense_qp = solutions["off"].qp
-        pruned_qp = solutions["on"].qp
-        if dense_qp.status is not pruned_qp.status:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"statuses diverge: dense {dense_qp.status.value} vs "
-                    f"sparsified {pruned_qp.status.value}",
-                    math.inf,
-                )
-            )
-            break
-        tol = 1e-9 if (dense_qp.polished and pruned_qp.polished) else _SOLVER_RTOL
-        gap = relative_gap(solutions["on"].objective, solutions["off"].objective)
-        if gap > tol:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"sparsified objective {solutions['on'].objective:.12g} vs "
-                    f"dense {solutions['off'].objective:.12g}",
-                    gap,
-                )
-            )
-        # The DSPP objective is strictly convex in the state trajectory
-        # (the reconfiguration quadratic, pulled back through the exactly
-        # invertible state equation), so the optimum is unique and the two
-        # layouts must produce the same states — not just the same value.
-        dense_states = solutions["off"].trajectory.states
-        pruned_states = solutions["on"].trajectory.states
-        x_gap = float(np.max(np.abs(pruned_states - dense_states), initial=0.0))
-        x_scale = max(1.0, float(np.max(np.abs(dense_states), initial=0.0)))
-        if x_gap / x_scale > 1e-3:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"state trajectories differ by {x_gap:.3e} on a strictly "
-                    "convex problem",
-                    x_gap / x_scale,
-                )
-            )
-        # Pruned pairs are pinned, not solved: the scatter-back writes
-        # literal zeros, and anything else would poison later fingerprint
-        # resolutions along a receding-horizon walk.
-        usable = instance.usable_pairs
-        if not usable.all():
-            leaked = int(np.count_nonzero(pruned_states[:, ~usable]))
-            if leaked:
-                findings.append(
-                    Discrepancy(
-                        label,
-                        f"{leaked} pruned-pair state entries are not exact "
-                        "zeros in the sparsified trajectory",
-                        float(leaked),
-                    )
-                )
-        # Capacity-dual activity: the (T, L) multiplier layout is
-        # identical in both stackings (rows are never pruned), so a
-        # capacity confidently binding under one layout must bind under
-        # the other.
-        dense_duals = solutions["off"].capacity_duals
-        pruned_duals = solutions["on"].capacity_duals
-        y_scale = max(
-            1.0,
-            float(np.max(np.abs(dense_duals), initial=0.0)),
-            float(np.max(np.abs(pruned_duals), initial=0.0)),
-        )
-        thresh = 1e-6 * y_scale
-        dense_active = np.abs(dense_duals) > thresh
-        pruned_active = np.abs(pruned_duals) > thresh
-        confident = np.maximum(np.abs(dense_duals), np.abs(pruned_duals)) > 10 * thresh
-        mismatched = int(np.sum((dense_active != pruned_active) & confident))
-        if mismatched:
-            findings.append(
-                Discrepancy(
-                    label,
-                    f"{mismatched} capacity constraints are active under one "
-                    "layout but inactive under the other",
-                    float(mismatched),
-                )
-            )
-        # Walk: fresh forecasts, occasionally a state advance.  Both sides
-        # advance from the SPARSIFIED states — their pruned entries are
-        # exact zeros, so sparsification stays resolvable next period.
-        demand = random_demand(rng, instance, horizon, load=0.5)
-        prices = random_prices(rng, instance, horizon)
-        if rng.random() < 0.5:
-            instance = instance.with_initial_state(pruned_states[0])
+            instance = instance.with_initial_state(candidate.trajectory.states[0])
+        candidate = compare(f"step{step}")
+    if horizon > 1 and moves.random() < 0.5:
+        for shrink in range(int(moves.integers(1, horizon))):
+            instance = instance.with_initial_state(candidate.trajectory.states[0])
+            demand, prices = demand[:, 1:], prices[:, 1:]
+            candidate = compare(f"shrink{shrink}")
     return findings
 
 
@@ -490,7 +425,7 @@ def prop_dspp_reference(rng: np.random.Generator, tier: ScaleTier) -> list[Discr
     # layout as the un-pruned stacked reference built below (the default
     # "auto" mode prunes columns on low-density draws, and the reference
     # warm start x0 would then mismatch P).  Pruned-vs-dense equivalence
-    # has its own gate: sparsified_equals_dense.  Early polish stays on, as
+    # has its own gate: config_equivalence/layout.  Early polish stays on, as
     # in every production DSPP solve.
     solution = solve_dspp(
         instance,
@@ -670,62 +605,6 @@ def prop_horizon1_mpc_equals_myopic(
                     control_gap / scale,
                 )
             )
-    return findings
-
-
-def prop_workspace_resolve_equals_cold(
-    rng: np.random.Generator, tier: ScaleTier
-) -> list[Discrepancy]:
-    """DSPPWorkspace resolves (forecast/state/capacity updates, then window
-    shrinks) ≡ cold solves.
-
-    Half the walks end by shrinking the window one period at a time, as a
-    finite run's last periods do: the forecasts lose their first period
-    and the state advances along the warm solution.  The shrinks are drawn
-    from a generator spawned off ``rng``, which leaves ``rng``'s own
-    stream, and so the update chain, as it was without them.
-    """
-    shrink_rng = rng.spawn(1)[0]
-    instance, demand, prices = _draw_problem(rng, tier, load=0.5)
-    workspace = DSPPWorkspace()
-    findings: list[Discrepancy] = []
-
-    def compare(label: str) -> DSPPSolution:
-        warm = solve_dspp(instance, demand, prices, workspace=workspace)
-        cold = solve_dspp(instance, demand, prices)
-        gap = relative_gap(warm.objective, cold.objective)
-        if gap > _SOLVER_RTOL:
-            findings.append(
-                Discrepancy(
-                    "workspace_resolve_equals_cold",
-                    f"{label}: workspace objective {warm.objective:.9g} vs "
-                    f"cold {cold.objective:.9g}",
-                    gap,
-                )
-            )
-        return warm
-
-    num_solves = int(rng.integers(2, 5))
-    for step in range(num_solves):
-        solved = (instance, demand, prices)
-        warm = compare(f"solve {step}")
-        # Mutate only vector-resident data: forecasts, state, capacities.
-        horizon = demand.shape[1]
-        demand = random_demand(rng, instance, horizon, load=0.5)
-        prices = random_prices(rng, instance, horizon)
-        if rng.random() < 0.5:
-            instance = instance.with_capacities(
-                instance.capacities * rng.uniform(0.9, 1.2, size=instance.num_datacenters)
-            )
-        if rng.random() < 0.5:
-            instance = instance.with_initial_state(warm.trajectory.states[0])
-    instance, demand, prices = solved
-    horizon = demand.shape[1]
-    if horizon > 1 and shrink_rng.random() < 0.5:
-        for shrink in range(int(shrink_rng.integers(1, horizon))):
-            instance = instance.with_initial_state(warm.trajectory.states[0])
-            demand, prices = demand[:, 1:], prices[:, 1:]
-            warm = compare(f"shrink {shrink} to {demand.shape[1]} periods")
     return findings
 
 

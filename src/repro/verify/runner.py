@@ -18,6 +18,7 @@ import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,12 @@ CHECKS: dict[str, CheckSpec] = {
         # trust-constr references get dense and slow past the small tier.
         CheckSpec("qp_reference", props.prop_qp_reference, ("tiny", "small", "medium")),
         CheckSpec("qp_workspace_sequence", props.prop_qp_workspace_sequence),
-        CheckSpec("banded_equals_default", props.prop_banded_equals_default),
-        CheckSpec("sparsified_equals_dense", props.prop_sparsified_equals_dense),
+        *(
+            CheckSpec(
+                f"config_equivalence/{pair}", partial(props.prop_config_equivalence, pair=pair)
+            )
+            for pair in props.EQUIVALENCE_PAIRS
+        ),
         CheckSpec("dspp_reference", props.prop_dspp_reference, ("tiny", "small")),
         CheckSpec("cost_scale_invariance", props.prop_cost_scale_invariance),
         CheckSpec("demand_monotonicity", props.prop_demand_monotonicity),
@@ -77,7 +82,6 @@ CHECKS: dict[str, CheckSpec] = {
             props.prop_horizon1_mpc_equals_myopic,
             ("tiny", "small"),
         ),
-        CheckSpec("workspace_resolve_equals_cold", props.prop_workspace_resolve_equals_cold),
         CheckSpec("integer_sandwich", props.prop_integer_sandwich, ("tiny",)),
         CheckSpec("elastic_infeasible", props.prop_elastic_infeasible, ("tiny", "small")),
         CheckSpec("routing_differential", props.prop_routing_differential),

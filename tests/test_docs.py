@@ -60,6 +60,15 @@ class TestDesignDoc:
                 assert path.exists(), f"DESIGN.md names missing module {path}"
 
 
+class TestTestingDoc:
+    def test_every_registered_check_is_named(self):
+        from repro.verify.runner import CHECKS
+
+        text = (REPO_ROOT / "docs" / "TESTING.md").read_text()
+        missing = [name for name in CHECKS if f"`{name}`" not in text]
+        assert not missing, f"docs/TESTING.md does not name {missing}"
+
+
 class TestApiDoc:
     def test_listed_top_level_names_exist(self):
         """Every backticked name in API.md's top-level table resolves."""

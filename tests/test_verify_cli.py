@@ -131,6 +131,11 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "0 failing" in out
 
+    def test_every_check_has_a_committed_entry(self):
+        # A rename that forgets its corpus entries would drop their pins.
+        pinned = {entry.check for entry in load_corpus(COMMITTED_CORPUS)}
+        assert set(CHECKS) <= pinned, sorted(set(CHECKS) - pinned)
+
     def test_replay_empty_corpus_is_ok(self, tmp_path, capsys):
         assert main(["verify", "replay", "--corpus", str(tmp_path)]) == 0
         assert "nothing to replay" in capsys.readouterr().out

@@ -39,9 +39,10 @@ def test_slow_checks_find_nothing_on_healthy_code(check, seed):
 
 
 def test_trials_are_deterministic():
-    a = run_trial("qp_reference", "tiny", [42, 7])
-    b = run_trial("qp_reference", "tiny", [42, 7])
-    assert a == b
+    for check in ("qp_reference", "config_equivalence/warm"):
+        a = run_trial(check, "tiny", [42, 7])
+        b = run_trial(check, "tiny", [42, 7])
+        assert a == b, check
 
 
 def test_every_check_runs_on_its_smallest_tier():
