@@ -10,8 +10,9 @@ scratch:
   workspace behind :func:`~repro.solvers.qp.solve_qp`: cached Ruiz scaling
   and KKT factorization for sequences of same-structure QPs (the MPC and
   best-response hot path).
-* :mod:`repro.solvers.kkt` — KKT residual computation and an active-set
-  polish step that refines ADMM iterates to high accuracy.
+* :mod:`repro.solvers.kkt` — KKT residuals, the strict optimality
+  certificate and the active-set pieces the workspace's polish refines
+  ADMM iterates with.
 * :mod:`repro.solvers.projections` — the Euclidean projections ADMM relies on.
 * :mod:`repro.solvers.dual` — the dual-decomposition quota coordinator used
   by Algorithm 2 (the best-response equilibrium computation).
@@ -19,7 +20,7 @@ scratch:
 
 from repro.solvers.qp import QPProblem, QPSettings, QPSolution, QPStatus, solve_qp
 from repro.solvers.workspace import QPWorkspace
-from repro.solvers.kkt import kkt_residuals, polish_solution
+from repro.solvers.kkt import kkt_residuals
 from repro.solvers.projections import project_box, project_halfspace, project_nonnegative
 from repro.solvers.dual import QuotaCoordinator, QuotaUpdate
 
@@ -31,7 +32,6 @@ __all__ = [
     "QPWorkspace",
     "solve_qp",
     "kkt_residuals",
-    "polish_solution",
     "project_box",
     "project_halfspace",
     "project_nonnegative",

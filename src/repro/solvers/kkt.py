@@ -1,13 +1,14 @@
 """KKT residual computation and active-set polishing for QP solutions.
 
 The ADMM iteration in :mod:`repro.solvers.qp` converges linearly, which is
-fine for control but leaves ~1e-6 residuals.  The *polish* step implemented
-here guesses the active set from the final dual iterate, solves the reduced
-equality-constrained QP exactly (one regularized KKT solve), and keeps the
-result only if it strictly improves every residual — the standard OSQP
-post-processing.  :func:`certify_kkt_point` is the strict-tolerance
-certificate the workspace's crossover and early polish accept a trial KKT
-point by.
+fine for control but leaves ~1e-6 residuals.  The *polish* built from
+these pieces guesses the active set from an ADMM iterate
+(:func:`guess_active_set`), solves the reduced equality-constrained QP
+exactly (one regularized KKT solve) and corrects the set by primal-dual
+active-set updates (:func:`update_active_set`) — the standard OSQP
+post-processing, refined.  :func:`certify_kkt_point` is the
+strict-tolerance certificate a trial KKT point must pass; the one loop that
+runs them is ``QPWorkspace._crossover``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "certify_kkt_point",
     "guess_active_set",
     "kkt_residuals",
-    "polish_solution",
     "solve_active_set_system",
     "update_active_set",
 ]
@@ -348,41 +348,3 @@ def update_active_set(
     active_upper = active_upper | equality
     active_lower = active_lower & ~active_upper
     return active_lower, active_upper
-
-
-def polish_solution(problem: QPProblem, solution: QPSolution) -> QPSolution:
-    """Refine an ADMM solution with one exact active-set KKT solve.
-
-    Args:
-        problem: the :class:`repro.solvers.qp.QPProblem` that was solved.
-        solution: the :class:`repro.solvers.qp.QPSolution` to refine.
-
-    Returns:
-        A new solution (``polished=True``) if the refinement improved the
-        worst KKT residual, otherwise the input solution unchanged.
-    """
-    active_lower, active_upper = guess_active_set(
-        problem, problem.A @ solution.x, solution.y
-    )
-    system = build_active_set_system(problem, active_lower, active_upper)
-    if system is None:
-        return solution
-    x_new, y_new = solve_active_set_system(problem, system)
-    if not np.all(np.isfinite(x_new)):
-        return solution
-
-    old = kkt_residuals(problem, solution.x, solution.y)
-    new = kkt_residuals(problem, x_new, y_new)
-    if new.worst >= old.worst:
-        return solution
-
-    return QPSolution(
-        x=x_new,
-        y=y_new,
-        objective=problem.objective(x_new),
-        status=solution.status,
-        iterations=solution.iterations,
-        primal_residual=new.primal,
-        dual_residual=new.dual,
-        polished=True,
-    )

@@ -175,7 +175,10 @@ class QPSolution:
         iterations: number of ADMM iterations performed.
         primal_residual: final ``||Ax - z||_inf``.
         dual_residual: final ``||Px + q + A'y||_inf``.
-        polished: whether the active-set polish succeeded.
+        polished: whether ``(x, y)`` is a certified active-set KKT point:
+            the polish passed :func:`repro.solvers.kkt.certify_kkt_point`
+            on the original problem.  ``False`` means ``x``/``y`` are the
+            ADMM iterates, at the ADMM tolerances.
     """
 
     x: np.ndarray

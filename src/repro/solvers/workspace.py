@@ -60,7 +60,6 @@ from repro.solvers.kkt import (
     build_active_set_system,
     certify_kkt_point,
     guess_active_set,
-    polish_solution,
     solve_active_set_system,
     update_active_set,
 )
@@ -129,17 +128,19 @@ class QPWorkspace:
         self._y: np.ndarray | None = None
         # Set by _admm when a verified early polish terminated the pass.
         self._early_polished: QPSolution | None = None
-        # Factorized active-set KKT system from the last successful early
-        # polish.  Consecutive receding-horizon solves usually share the
-        # optimal active set, so the next solve() first re-solves this
-        # cached system against the fresh q/l/u (two back-substitutions)
-        # and, if the result passes the strict certificate, skips ADMM
-        # entirely.
+        # Factorized active-set KKT system of the last certified crossover
+        # (see _crossover).  Consecutive receding-horizon solves usually
+        # share the optimal active set, so the next solve() first re-solves
+        # this cached system against the fresh q/l/u (two
+        # back-substitutions) and, if the result passes the strict
+        # certificate, skips ADMM entirely.
         self._polish_system: ActiveSetSystem | BandedActiveSetSystem | None = None
-        # Active-set guesses already tried (and rejected) in the current
-        # solve(), keyed by the packed masks; prevents re-factorizing the
-        # same wrong guess at every residual check.
-        self._failed_masks: set[bytes] = set()
+        # Active sets the crossover already tried in the current solve()
+        # (a certified one ends the solve, so every one of them failed),
+        # keyed by the packed masks, each with the next set its trial point
+        # proposed (None if it gave no finite point); prevents
+        # re-factorizing the same wrong guess at every residual check.
+        self._failed_masks: dict[bytes, tuple[np.ndarray, np.ndarray] | None] = {}
         # Stale-scaling bookkeeping (see _RESCALE_FACTOR above).
         self._stale_scaling = False
         self._best_warm_iterations: int | None = None
@@ -198,7 +199,7 @@ class QPWorkspace:
         self._lu = None
         self._early_polished = None
         self._polish_system = None
-        self._failed_masks = set()
+        self._failed_masks = {}
         problem, scaling = self._problem, self._scaling
         if problem is not None and scaling is not None:
             self._install(problem, scaling.apply(problem))
@@ -538,7 +539,7 @@ class QPWorkspace:
             raise RuntimeError("QPWorkspace.solve() before setup()")
         if self._stale_scaling:
             self._refresh_scaling()
-        self._failed_masks = set()
+        self._failed_masks = {}
         problem, work, scaling = self._problem, self._work, self._scaling
         cfg = self.settings
         n, m = problem.num_variables, problem.num_constraints
@@ -550,10 +551,13 @@ class QPWorkspace:
             x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
             warm_seeded = False
 
-        if cfg.early_polish and self._polish_system is not None:
-            cached = self._try_cached_active_set()
-            if cached is not None:
-                return cached
+        system = self._polish_system
+        if cfg.early_polish and system is not None:
+            certified = self._crossover(system.active_lower, system.active_upper, system)
+            if certified is not None:
+                solution, ax = certified
+                self._store_iterates(solution.x, solution.y, ax)
+                return solution
 
         x, z, y, status, iterations, r_prim, r_dual = self._admm(x, z, y)
 
@@ -605,7 +609,13 @@ class QPWorkspace:
                 problem, self._a_t, x_orig, z_orig, y_orig
             )
 
-        solution = QPSolution(
+        if status is QPStatus.OPTIMAL:
+            # Polish from ADMM's own active-set guess; the ADMM iterates
+            # stay stored as the warm start, as after an early polish.
+            certified = self._crossover(*guess_active_set(problem, problem.A @ x_orig, y_orig))
+            if certified is not None:
+                return replace(certified[0], iterations=iterations)
+        return QPSolution(
             x=x_orig,
             y=y_orig,
             objective=problem.objective(x_orig),
@@ -614,61 +624,75 @@ class QPWorkspace:
             primal_residual=r_prim,
             dual_residual=r_dual,
         )
-        if status is QPStatus.OPTIMAL:
-            solution = polish_solution(problem, solution)
-        return solution
 
-    # Crossover attempts per solve: the first re-solves the cached system
-    # verbatim; each further attempt is one primal-dual active-set update
-    # (add violated rows, drop wrong-sign multipliers) plus a fresh
+    # Working sets one crossover tries: the first is the starting active
+    # set; each further attempt is one primal-dual active-set update (add
+    # violated rows, drop wrong-sign multipliers) plus a fresh
     # factorization.  Receding-horizon steps flip a few dozen rows, which
     # this typically identifies within a handful of updates; anything
     # harder falls back to ADMM, so the bound only caps wasted
     # factorizations (the ``_failed_masks`` memo breaks cycles early).
     _MAX_CROSSOVER_ATTEMPTS = 8
 
-    def _try_cached_active_set(self) -> QPSolution | None:
-        """Re-solve from the cached active set, correcting it if it moved.
+    def _crossover(
+        self,
+        active_lower: np.ndarray,
+        active_upper: np.ndarray,
+        system: ActiveSetSystem | BandedActiveSetSystem | None = None,
+        attempts: int = _MAX_CROSSOVER_ATTEMPTS,
+    ) -> tuple[QPSolution, np.ndarray] | None:
+        """Turn an active set into a certified solution: the one polish path.
 
-        If the optimal active set did not change since the last solve —
-        the common case along a receding horizon — the cached system's KKT
-        point passes the strict certificate
-        (:func:`repro.solvers.kkt.certify_kkt_point`) and *is* the optimum:
-        ADMM is skipped entirely and the solve costs two
-        back-substitutions.  When the set did move, run a few primal-dual
-        active-set updates (:func:`repro.solvers.kkt.update_active_set`,
-        fed the certificate's ``A x``), each certified before being
-        accepted.  A next working set that already failed this solve, or
-        one past the attempt cap, ends the crossover before it is
-        factorized.  Returns ``None`` if no attempt certifies, in which case
-        the caller falls back to ADMM from the previous solve's iterates.
+        Builds the active-set KKT system with the workspace backend (unless
+        ``system``, already built for these masks, is given), solves it
+        against the current data and accepts the point only if it passes
+        the strict certificate (:func:`repro.solvers.kkt.certify_kkt_point`)
+        — a certified point *is* the optimum.  A rejected point proposes
+        the next working set (:func:`repro.solvers.kkt.update_active_set`,
+        fed the certificate's ``A x``), up to ``attempts`` sets.  No set
+        is factorized twice in one solve: a starting set that already
+        failed hands on the set it proposed then, and any later one ends
+        the crossover.  With ``early_polish`` on, the accepted system
+        becomes ``_polish_system``, which the next solve tries first.
+
+        Three callers: the solve start (from the cached system, full
+        budget), the early polish inside ADMM (ADMM's guess, one attempt
+        per stable signature, so it factorizes at most once) and the end
+        of an OPTIMAL ADMM pass (ADMM's guess, full budget).  So no solve
+        ships a polished point that failed the certificate.
+
+        Returns:
+            ``(solution, ax)``: the certified ``polished`` OPTIMAL solution
+            (``iterations=0``) and ``A x`` at it, or ``None`` if no attempt
+            certifies.
         """
         problem = self._problem
         a_t = self._a_t
-        system = self._polish_system
-        assert problem is not None and a_t is not None and system is not None
-        key = system.active_lower.tobytes() + system.active_upper.tobytes()
-        for attempt in range(1, self._MAX_CROSSOVER_ATTEMPTS + 1):
-            x, y = self._solve_active_system(system)
-            if not np.all(np.isfinite(x)):
-                self._failed_masks.add(key)
-                break
-            ax, solution = certify_kkt_point(problem, a_t, x, y, _qp._EPS_ABS, _qp._EPS_REL)
-            if solution is not None:
-                self._polish_system = system
-                self._store_iterates(x, y, ax)
-                return solution
-            self._failed_masks.add(key)
-            if attempt == self._MAX_CROSSOVER_ATTEMPTS:
-                break
-            active_lower, active_upper = update_active_set(problem, ax, y)
+        assert problem is not None and a_t is not None
+        for attempt in range(attempts):
             key = active_lower.tobytes() + active_upper.tobytes()
             if key in self._failed_masks:
-                break
-            next_system = self._build_active_system(active_lower, active_upper)
-            if next_system is None:
-                break
-            system = next_system
+                proposal = self._failed_masks[key]
+                if attempt or proposal is None:
+                    return None
+                active_lower, active_upper = proposal
+                continue
+            self._failed_masks[key] = None
+            if system is None:
+                system = self._build_active_system(active_lower, active_upper)
+            if system is None:
+                return None
+            x, y = self._solve_active_system(system)
+            if not np.all(np.isfinite(x)):
+                return None
+            ax, solution = certify_kkt_point(problem, a_t, x, y, _qp._EPS_ABS, _qp._EPS_REL)
+            if solution is not None:
+                if self.settings.early_polish:
+                    self._polish_system = system
+                return solution, ax
+            active_lower, active_upper = update_active_set(problem, ax, y)
+            self._failed_masks[key] = (active_lower, active_upper)
+            system = None
         return None
 
     def _store_iterates(self, x: np.ndarray, y: np.ndarray, ax: np.ndarray) -> None:
@@ -764,25 +788,15 @@ class QPWorkspace:
                 and r_prim <= _qp._EARLY_POLISH_FACTOR * eps_prim
                 and r_dual <= _qp._EARLY_POLISH_FACTOR * eps_dual
             ):
-                active_lower, active_upper = guess_active_set(problem, ax, y_orig)
-                key = active_lower.tobytes() + active_upper.tobytes()
-                if key not in self._failed_masks:
-                    system = self._build_active_system(active_lower, active_upper)
-                    refined: QPSolution | None = None
-                    if system is not None:
-                        px, py = self._solve_active_system(system)
-                        if np.all(np.isfinite(px)):
-                            _, refined = certify_kkt_point(
-                                problem, a_t, px, py, _qp._EPS_ABS, _qp._EPS_REL
-                            )
-                    if refined is not None:
-                        self._polish_system = system
-                        self._early_polished = refined
-                        status = QPStatus.OPTIMAL
-                        r_prim = refined.primal_residual
-                        r_dual = refined.dual_residual
-                        break
-                    self._failed_masks.add(key)
+                certified = self._crossover(
+                    *guess_active_set(problem, ax, y_orig), attempts=1
+                )
+                if certified is not None:
+                    self._early_polished = certified[0]
+                    status = QPStatus.OPTIMAL
+                    r_prim = certified[0].primal_residual
+                    r_dual = certified[0].dual_residual
+                    break
 
             if _qp._check_primal_infeasible(
                 problem, a_t, scaling.unscale_y(y - y_prev), _qp._INFEASIBILITY_EPS

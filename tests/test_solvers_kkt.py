@@ -1,12 +1,12 @@
-"""Tests for repro.solvers.kkt (residuals + polish)."""
+"""Tests for repro.solvers.kkt (residuals)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.solvers.kkt import KKTResiduals, kkt_residuals, polish_solution
-from repro.solvers.qp import QPProblem, QPSettings, solve_qp
+from repro.solvers.kkt import KKTResiduals, kkt_residuals
+from repro.solvers.qp import QPProblem
 
 
 def _box_problem():
@@ -38,34 +38,3 @@ class TestResiduals:
     def test_worst_is_max(self):
         res = KKTResiduals(primal=0.1, dual=0.3, complementarity=0.2)
         assert res.worst == pytest.approx(0.3)
-
-
-class TestPolish:
-    def test_polish_marks_flag_and_improves(self):
-        problem = _box_problem()
-        # Fewer iterations than one residual check: an unpolished ADMM point.
-        rough = solve_qp(
-            problem.P,
-            problem.q,
-            problem.A,
-            problem.l,
-            problem.u,
-            settings=QPSettings(max_iterations=5),
-        )
-        assert not rough.polished
-        refined = polish_solution(problem, rough)
-        old = kkt_residuals(problem, rough.x, rough.y)
-        new = kkt_residuals(problem, refined.x, refined.y)
-        assert new.worst <= old.worst
-
-    def test_polish_no_active_constraints_returns_input(self):
-        # Interior optimum: nothing active, polish is a no-op.
-        problem = QPProblem.build(
-            2.0 * np.eye(1), np.array([-1.0]), np.eye(1), [-10.0], [10.0]
-        )
-        solution = solve_qp(
-            problem.P, problem.q, problem.A, problem.l, problem.u,
-            settings=QPSettings(max_iterations=5),
-        )
-        refined = polish_solution(problem, solution)
-        assert refined.polished is False

@@ -11,9 +11,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.loop import run_closed_loop
+from repro.control.mpc import MPCConfig, MPCController
 from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
 from repro.core.matrices import build_qp_structure, build_qp_vectors
+from repro.prediction.oracle import OraclePredictor
 from repro.simulation.scenario import build_paper_scenario
 from repro.solvers.banded import build_banded_active_set_system
 from repro.solvers.kkt import (
@@ -102,15 +105,15 @@ class TestCrossoverFallback:
         ws = QPWorkspace(settings=QPSettings(early_polish=True))
         ws.setup(P, A, q=q, l=l, u=u)
         ws.solve()
-        crossover, admm = ws._try_cached_active_set, ws._admm
+        crossover, admm = ws._crossover, ws._admm
         admm_starts = []
 
         def stored():
             return ws._x.copy(), ws._z.copy(), ws._y.copy()
 
-        def checked_crossover():
+        def checked_crossover(*args, **kwargs):
             before = stored()
-            result = crossover()
+            result = crossover(*args, **kwargs)
             if result is None:
                 # A rejected trial point is not stored over the iterates.
                 for old, new in zip(before, stored()):
@@ -121,7 +124,7 @@ class TestCrossoverFallback:
             admm_starts.append((x.copy(), z.copy(), y.copy()))
             return admm(x, z, y)
 
-        ws._try_cached_active_set = checked_crossover
+        ws._crossover = checked_crossover
         ws._admm = recorded_admm
         fallbacks = 0
         for _ in range(4):
@@ -138,6 +141,77 @@ class TestCrossoverFallback:
                 for start, old in zip(admm_starts[0], before):
                     np.testing.assert_array_equal(start, old)
         assert fallbacks > 0
+
+
+class TestPolishAfterADMM:
+    """An ADMM pass that ends OPTIMAL before any early polish certifies is
+    polished by the same certified crossover as every other solve."""
+
+    def test_converged_pass_is_certified_and_cached(self):
+        # min (x0-2)^2 + (x1-2)^2 on the unit box: both upper bounds bind.
+        P, q, A = 2.0 * np.eye(2), np.array([-4.0, -4.0]), np.eye(2)
+        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws.setup(P, A, q=q, l=np.zeros(2), u=np.ones(2))
+        ws.solve()
+        # Pinning x0 = 1 keeps the optimum but changes the equality
+        # pattern, which drops the cached system: the next solve runs ADMM
+        # from the stored iterates.  It converges at the second residual
+        # check; the first cannot early-polish (no signature to compare
+        # yet), and the second tests convergence before polishing.
+        l = np.array([1.0, 0.0])
+        ws.update(l=l, u=np.ones(2))
+        assert ws._polish_system is None
+        solution = ws.solve()
+        assert solution.status is QPStatus.OPTIMAL and solution.iterations > 0
+        assert solution.polished
+        problem = ws.problem
+        _, certified = certify_kkt_point(
+            problem, problem.A.T, solution.x, solution.y, 1e-6, 1e-6
+        )
+        assert certified is not None
+        np.testing.assert_array_equal(solution.x, certified.x)
+        # The certified system is cached: an identical update re-solves it
+        # without ADMM.
+        ws.update(l=l, u=np.ones(2))
+        assert ws.solve().iterations == 0
+
+    def test_interior_optimum_ships_the_admm_point(self):
+        # Nothing is active at the optimum, so there is no active-set
+        # system to polish with: the solve returns ADMM's point.
+        solution = solve_qp(2.0 * np.eye(1), [-1.0], np.eye(1), [-10.0], [10.0])
+        assert solution.status is QPStatus.OPTIMAL and solution.iterations > 0
+        assert not solution.polished
+        assert solution.x[0] == pytest.approx(0.5, abs=1e-4)
+
+    def test_every_polished_solution_of_a_closed_loop_is_certified(self, monkeypatch):
+        # ADMM passes of this loop end OPTIMAL on an active-set guess that
+        # already failed as an early polish: its KKT point holds a row by a
+        # wrong-sign multiplier.  The crossover goes on from the set that
+        # point proposed, so the solve ships a certified point, never the
+        # rejected one.
+        scenario = build_paper_scenario(num_periods=24, total_peak_rate=800.0, seed=11)
+        solve = QPWorkspace.solve
+        polished = []
+
+        def certified_solve(ws):
+            solution = solve(ws)
+            if solution.polished:
+                problem = ws.problem
+                _, certified = certify_kkt_point(
+                    problem, problem.A.T, solution.x, solution.y, 1e-6, 1e-6
+                )
+                polished.append(certified is not None)
+            return solution
+
+        monkeypatch.setattr(QPWorkspace, "solve", certified_solve)
+        controller = MPCController(
+            scenario.instance,
+            OraclePredictor(scenario.demand),
+            OraclePredictor(scenario.prices),
+            MPCConfig(window=6),
+        )
+        run_closed_loop(controller, scenario.demand, scenario.prices)
+        assert polished and all(polished)
 
 
 class TestFactorizationCaching:
