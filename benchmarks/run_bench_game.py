@@ -82,11 +82,9 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
 # Scale-appropriate solver settings.  The sparse scales ride the
 # sparsified banded backend, same as the solver benchmark's candidates.
 SCALE_SETTINGS: dict[str, QPSettings] = {
-    "paper": QPSettings(early_polish=True),
-    "xlarge": QPSettings(early_polish=True, kkt_backend="banded", sparsify_columns="on"),
-    "continental": QPSettings(
-        early_polish=True, kkt_backend="banded", sparsify_columns="on"
-    ),
+    "paper": QPSettings(),
+    "xlarge": QPSettings(kkt_backend="banded", sparsify_columns="on"),
+    "continental": QPSettings(kkt_backend="banded", sparsify_columns="on"),
 }
 
 # Worker reply window of the sharded pools.  A continental round takes

@@ -143,13 +143,8 @@ class DSPPWorkspace:
             )
         T = demand.shape[1]
         elastic = demand_slack_penalty is not None
-        # DSPP solves enable verified early polishing by default: ADMM may
-        # hand over to the exact active-set solve as soon as the polished
-        # result meets the *strict* tolerances, so accuracy is unchanged.
         # Caller-provided settings are honoured verbatim.
-        effective_settings = (
-            settings if settings is not None else QPSettings(early_polish=True)
-        )
+        effective_settings = settings if settings is not None else QPSettings()
 
         # Column sparsification is resolved per solve against the *current*
         # instance (the exactness precondition involves the initial state);
@@ -263,8 +258,7 @@ def solve_dspp(
         instance: static problem data, including the current state ``x_0``.
         demand: forecast demand for periods ``1..T``, shape ``(V, T)``.
         prices: per-server prices for periods ``1..T``, shape ``(L, T)``.
-        settings: QP solver settings (default: ``QPSettings(early_polish=True)``,
-            see :meth:`DSPPWorkspace.solve`).
+        settings: QP solver settings (default: ``QPSettings()``).
         demand_slack_penalty: if given, solve the *elastic* variant where
             demand shortfall is allowed at this linear per-unit penalty
             (used by the best-response game dynamics; see

@@ -11,8 +11,8 @@ rung    name        strategy
 0       ``warm``    persistent-workspace solve (cached factorization,
                     stored warm-start iterates)
 1       ``cold``    drop the workspace cache and re-factorize the same
-                    problem from scratch (clears any poisoned iterate or
-                    stale scaling)
+                    problem from scratch (clears any poisoned iterate and
+                    re-equilibrates against the current data)
 2       ``sparse``  solve on a throwaway workspace with the plain
                     sparse-LU KKT backend, sharing no cached state
                     (sidesteps banded backend trouble)

@@ -392,10 +392,7 @@ class PlacementService:
             )
 
     def _sparse_settings(self) -> QPSettings:
-        base = self.config.qp_settings
-        if base is None:
-            base = QPSettings(early_polish=True)
-        return replace(base, kkt_backend="sparse")
+        return replace(self.config.qp_settings or QPSettings(), kkt_backend="sparse")
 
     def _ladder_solve(self, horizon: int) -> MPCStep:
         """Descend the degradation ladder until a rung terminates."""

@@ -212,11 +212,11 @@ class QPSettings:
     the active-set polish is attempted and its result *verified* against
     the strict tolerances on the original problem — accepted only if it
     passes, otherwise the iteration continues unchanged.  Accuracy is
-    therefore never reduced; only the route to it changes.  Off in these
-    defaults, which a raw :func:`solve_qp` or
-    :class:`~repro.solvers.workspace.QPWorkspace` uses; every DSPP solve
-    goes through a :class:`~repro.core.dspp.DSPPWorkspace`, which turns it
-    on when the caller passes no settings.
+    therefore never reduced; only the route to it changes.  On by default,
+    for a raw :func:`solve_qp` as for every workspace.  A workspace with it
+    on also caches the certified active-set system, which the next solve
+    re-solves against the new data before running any ADMM.  Turning it
+    off keeps only the crossover after a converged ADMM pass.
 
     ``kkt_backend`` selects how KKT systems are factorized when the
     workspace is handed the per-period block structure of a stacked
@@ -239,7 +239,7 @@ class QPSettings:
     """
 
     max_iterations: int = 20000
-    early_polish: bool = False
+    early_polish: bool = True
     kkt_backend: str = "auto"
     sparsify_columns: str = "auto"
 

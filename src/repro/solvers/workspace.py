@@ -71,15 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoids a package import
 
 __all__ = ["QPWorkspace"]
 
-# Stale-scaling detector: when a warm solve needs more than _RESCALE_FACTOR
-# times the best warm iteration count seen under the current scaling (and
-# more than _RESCALE_FLOOR iterations outright), the cached equilibration no
-# longer fits the drifted problem data and is refreshed before the next
-# solve.  One refresh costs one Ruiz pass + a refactorization — far less
-# than the extra ADMM iterations a stale preconditioner keeps charging.
-_RESCALE_FLOOR = 100
-_RESCALE_FACTOR = 3.0
-
 
 class QPWorkspace:
     """Reusable ADMM solver state for a sequence of same-structure QPs.
@@ -106,7 +97,7 @@ class QPWorkspace:
         self.num_setups = 0
         self.num_updates = 0
         self.num_factorizations = 0
-        # Ruiz passes run: one per setup plus stale-scaling refreshes.
+        # Ruiz passes run: one per setup.
         self.num_equilibrations = 0
         self._problem: QPProblem | None = None
         self._work: QPProblem | None = None
@@ -137,13 +128,9 @@ class QPWorkspace:
         self._polish_system: ActiveSetSystem | BandedActiveSetSystem | None = None
         # Active sets the crossover already tried in the current solve()
         # (a certified one ends the solve, so every one of them failed),
-        # keyed by the packed masks, each with the next set its trial point
-        # proposed (None if it gave no finite point); prevents
-        # re-factorizing the same wrong guess at every residual check.
-        self._failed_masks: dict[bytes, tuple[np.ndarray, np.ndarray] | None] = {}
-        # Stale-scaling bookkeeping (see _RESCALE_FACTOR above).
-        self._stale_scaling = False
-        self._best_warm_iterations: int | None = None
+        # keyed by the packed masks; prevents re-factorizing the same wrong
+        # guess at every residual check.
+        self._failed_masks: set[bytes] = set()
 
     def __getstate__(self) -> dict[str, Any]:
         """Pickle support for checkpoint/restore (see ``repro.service``).
@@ -199,7 +186,7 @@ class QPWorkspace:
         self._lu = None
         self._early_polished = None
         self._polish_system = None
-        self._failed_masks = {}
+        self._failed_masks = set()
         problem, scaling = self._problem, self._scaling
         if problem is not None and scaling is not None:
             self._install(problem, scaling.apply(problem))
@@ -321,8 +308,6 @@ class QPWorkspace:
         self._rho_vec = _qp._rho_vector(work)
         self._lu = None
         self.num_setups += 1
-        self._stale_scaling = False
-        self._best_warm_iterations = None
         self._polish_system = None
         if carry is None:
             self._x = self._z = self._y = None
@@ -408,41 +393,16 @@ class QPWorkspace:
             return system.solve(problem)
         return solve_active_set_system(problem, system)
 
-    def _refresh_scaling(self) -> None:
-        """Re-equilibrate against the *current* problem data.
-
-        Updates between solves only touch vectors, so the Ruiz scaling from
-        setup slowly stops matching the data the solver actually sees;
-        this recomputes it, drops the rho-dependent factorization, and
-        migrates the stored warm-start iterates into the new scaled space.
-        """
-        problem = self._problem
-        old = self._scaling
-        assert problem is not None and old is not None
-        work, scaling = _qp._ruiz_equilibrate(problem)
-        self.num_equilibrations += 1
-        self._migrate_iterates(old, scaling)
-        self._install(problem, work)
-        self._scaling = scaling
-        self._rho_vec = _qp._rho_vector(work)
-        self._lu = None
-        self._stale_scaling = False
-        self._best_warm_iterations = None
-
     def _migrate_iterates(
-        self,
-        old: _qp._Scaling,
-        new: _qp._Scaling,
-        carry: tuple[np.ndarray, np.ndarray] | None = None,
+        self, old: _qp._Scaling, new: _qp._Scaling, carry: tuple[np.ndarray, np.ndarray]
     ) -> None:
         """Move the stored iterates from scaling ``old`` into ``new``,
-        restricted to the ``(columns, rows)`` of ``carry`` if given."""
+        restricted to the ``(columns, rows)`` of ``carry``."""
         if self._x is None or self._z is None or self._y is None:
             return
         x, y, z = old.unscale_x(self._x), old.unscale_y(self._y), old.unscale_z(self._z)
-        if carry is not None:
-            columns, rows = carry
-            x, y, z = x[columns], y[rows], z[rows]
+        columns, rows = carry
+        x, y, z = x[columns], y[rows], z[rows]
         self._x = new.scale_x(x)
         self._y = new.scale_y(y)
         self._z = new.e * z
@@ -537,9 +497,7 @@ class QPWorkspace:
             or self._rho_vec is None
         ):
             raise RuntimeError("QPWorkspace.solve() before setup()")
-        if self._stale_scaling:
-            self._refresh_scaling()
-        self._failed_masks = {}
+        self._failed_masks = set()
         problem, work, scaling = self._problem, self._work, self._scaling
         cfg = self.settings
         n, m = problem.num_variables, problem.num_constraints
@@ -560,13 +518,6 @@ class QPWorkspace:
                 return solution
 
         x, z, y, status, iterations, r_prim, r_dual = self._admm(x, z, y)
-
-        if warm_seeded and status is QPStatus.OPTIMAL:
-            best = self._best_warm_iterations
-            if best is None or iterations < best:
-                self._best_warm_iterations = iterations
-            elif iterations > max(_RESCALE_FLOOR, _RESCALE_FACTOR * best):
-                self._stale_scaling = True
 
         if status is QPStatus.MAX_ITERATIONS and warm_seeded:
             # A warm start from a *different* problem can trap the
@@ -639,7 +590,6 @@ class QPWorkspace:
         active_lower: np.ndarray,
         active_upper: np.ndarray,
         system: ActiveSetSystem | BandedActiveSetSystem | None = None,
-        attempts: int = _MAX_CROSSOVER_ATTEMPTS,
     ) -> tuple[QPSolution, np.ndarray] | None:
         """Turn an active set into a certified solution: the one polish path.
 
@@ -649,17 +599,17 @@ class QPWorkspace:
         the strict certificate (:func:`repro.solvers.kkt.certify_kkt_point`)
         — a certified point *is* the optimum.  A rejected point proposes
         the next working set (:func:`repro.solvers.kkt.update_active_set`,
-        fed the certificate's ``A x``), up to ``attempts`` sets.  No set
-        is factorized twice in one solve: a starting set that already
-        failed hands on the set it proposed then, and any later one ends
-        the crossover.  With ``early_polish`` on, the accepted system
-        becomes ``_polish_system``, which the next solve tries first.
+        fed the certificate's ``A x``), up to ``_MAX_CROSSOVER_ATTEMPTS``
+        sets.  No set is factorized twice in one solve: reaching a set that
+        already failed ends the crossover.  With ``early_polish`` on, the
+        accepted system becomes ``_polish_system``, which the next solve
+        tries first.
 
-        Three callers: the solve start (from the cached system, full
-        budget), the early polish inside ADMM (ADMM's guess, one attempt
-        per stable signature, so it factorizes at most once) and the end
-        of an OPTIMAL ADMM pass (ADMM's guess, full budget).  So no solve
-        ships a polished point that failed the certificate.
+        Three callers, all with the same budget: the solve start (from the
+        cached system), the early polish inside ADMM (ADMM's guess, once
+        per stable signature) and the end of an OPTIMAL ADMM pass (ADMM's
+        guess).  So no solve ships a polished point that failed the
+        certificate.
 
         Returns:
             ``(solution, ax)``: the certified ``polished`` OPTIMAL solution
@@ -669,15 +619,11 @@ class QPWorkspace:
         problem = self._problem
         a_t = self._a_t
         assert problem is not None and a_t is not None
-        for attempt in range(attempts):
+        for _ in range(self._MAX_CROSSOVER_ATTEMPTS):
             key = active_lower.tobytes() + active_upper.tobytes()
             if key in self._failed_masks:
-                proposal = self._failed_masks[key]
-                if attempt or proposal is None:
-                    return None
-                active_lower, active_upper = proposal
-                continue
-            self._failed_masks[key] = None
+                return None
+            self._failed_masks.add(key)
             if system is None:
                 system = self._build_active_system(active_lower, active_upper)
             if system is None:
@@ -691,7 +637,6 @@ class QPWorkspace:
                     self._polish_system = system
                 return solution, ax
             active_lower, active_upper = update_active_set(problem, ax, y)
-            self._failed_masks[key] = (active_lower, active_upper)
             system = None
         return None
 
@@ -733,12 +678,12 @@ class QPWorkspace:
         r_prim = r_dual = np.inf
         iteration = 0
         self._early_polished = None
-        # Early-polish attempt gating: an attempt costs one KKT
-        # factorization of the active-set system, so (a) only attempt once
-        # the candidate active set (which rows of z sit on a bound) has
-        # survived one full check interval unchanged — while it churns the
-        # polish guess churns with it and the factorization is wasted —
-        # and (b) never retry a guess that already failed this solve
+        # Early-polish attempt gating: each working set an attempt tries
+        # costs one KKT factorization of the active-set system, so (a) only
+        # attempt once the candidate active set (which rows of z sit on a
+        # bound) has survived one full check interval unchanged — while it
+        # churns the polish guess churns with it and the factorization is
+        # wasted — and (b) never retry a set that already failed this solve
         # (``_failed_masks``); the guess only becomes worth retrying after
         # it changes, which the memo detects exactly.
         prev_signature: np.ndarray | None = None
@@ -788,9 +733,7 @@ class QPWorkspace:
                 and r_prim <= _qp._EARLY_POLISH_FACTOR * eps_prim
                 and r_dual <= _qp._EARLY_POLISH_FACTOR * eps_dual
             ):
-                certified = self._crossover(
-                    *guess_active_set(problem, ax, y_orig), attempts=1
-                )
+                certified = self._crossover(*guess_active_set(problem, ax, y_orig))
                 if certified is not None:
                     self._early_polished = certified[0]
                     status = QPStatus.OPTIMAL

@@ -71,10 +71,10 @@ class TestWorkspaceEquivalence:
 
     def test_early_polish_matches_default_tolerances(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         for _ in range(4):
-            cold = solve_qp(P, q, A, l, u)
+            cold = solve_qp(P, q, A, l, u, settings=QPSettings(early_polish=False))
             warm = ws.solve()
             assert warm.status is QPStatus.OPTIMAL
             # The verified-early-polish path certifies against the strict
@@ -85,12 +85,13 @@ class TestWorkspaceEquivalence:
 
     def test_cached_active_set_skips_admm_on_repeat_solve(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         first = ws.solve()
         assert first.status is QPStatus.OPTIMAL
-        # Identical data again: the cached active-set system is certified
-        # optimal without a single ADMM iteration.
+        # Identical data again: a workspace built without settings caches
+        # its certified active-set system, which is certified optimal
+        # without a single ADMM iteration.
         ws.update(q=q, l=l, u=u)
         second = ws.solve()
         assert second.status is QPStatus.OPTIMAL
@@ -102,7 +103,7 @@ class TestCrossoverFallback:
     def test_failed_crossover_hands_admm_the_previous_iterates(self, rng):
         P, q, A, l, u = random_qp(rng, "small")
         dense_A = A.toarray()
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         ws.solve()
         crossover, admm = ws._crossover, ws._admm
@@ -150,7 +151,7 @@ class TestPolishAfterADMM:
     def test_converged_pass_is_certified_and_cached(self):
         # min (x0-2)^2 + (x1-2)^2 on the unit box: both upper bounds bind.
         P, q, A = 2.0 * np.eye(2), np.array([-4.0, -4.0]), np.eye(2)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=np.zeros(2), u=np.ones(2))
         ws.solve()
         # Pinning x0 = 1 keeps the optimum but changes the equality
@@ -184,11 +185,11 @@ class TestPolishAfterADMM:
         assert solution.x[0] == pytest.approx(0.5, abs=1e-4)
 
     def test_every_polished_solution_of_a_closed_loop_is_certified(self, monkeypatch):
-        # ADMM passes of this loop end OPTIMAL on an active-set guess that
-        # already failed as an early polish: its KKT point holds a row by a
-        # wrong-sign multiplier.  The crossover goes on from the set that
-        # point proposed, so the solve ships a certified point, never the
-        # rejected one.
+        # This loop's crossovers reject more trial points than they accept
+        # (70 against 23 solves): KKT points with a row held by a wrong-sign
+        # multiplier or a bound violated.  Each walks on to the set the
+        # rejected point proposes, so every solve ships a certified point,
+        # never a rejected one.
         scenario = build_paper_scenario(num_periods=24, total_peak_rate=800.0, seed=11)
         solve = QPWorkspace.solve
         polished = []
@@ -245,7 +246,7 @@ class TestFactorizationCaching:
 
     def test_crossover_certified_solve_factorizes_nothing(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         assert ws.solve().iterations > 0
         before = ws.num_factorizations
@@ -260,7 +261,7 @@ class TestFactorizationCaching:
 
     def test_equality_pattern_change_refactorizes(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         ws.solve()
         before = ws.num_factorizations
@@ -277,7 +278,7 @@ class TestFactorizationCaching:
 
     def test_restored_workspace_factorizes_only_when_admm_runs(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         ws.solve()
         restored = pickle.loads(pickle.dumps(ws))
@@ -299,13 +300,13 @@ class TestFactorizationCaching:
 
         monkeypatch.setattr(workspace_module, "BandedKKTSolver", failing)
         _, structure, q, l, u = _structured_problem(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True, kkt_backend="banded"))
+        ws = QPWorkspace(settings=QPSettings(kkt_backend="banded"))
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         assert ws._use_banded
         warm = ws.solve()
         assert not ws._use_banded
         assert warm.status is QPStatus.OPTIMAL and warm.iterations > 0
-        cold = solve_qp(structure.P, q, structure.A, l, u, settings=QPSettings(early_polish=True))
+        cold = solve_qp(structure.P, q, structure.A, l, u)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
 
     def test_max_iterations_reports_cumulative_count(self, rng):
@@ -409,15 +410,12 @@ class TestBlockBackendWorkspace:
 
     def test_matches_cold_across_forecast_updates(self, rng, backend):
         instance, structure, q, l, u = _structured_problem(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True, kkt_backend=backend))
+        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         horizon = structure.blocks.num_steps
         for _ in range(3):
             warm = ws.solve()
-            cold = solve_qp(
-                structure.P, q, structure.A, l, u,
-                settings=QPSettings(early_polish=True),
-            )
+            cold = solve_qp(structure.P, q, structure.A, l, u)
             assert warm.status is QPStatus.OPTIMAL
             assert warm.objective == pytest.approx(
                 cold.objective, rel=1e-6, abs=1e-8
@@ -429,25 +427,19 @@ class TestBlockBackendWorkspace:
 
     def test_elastic_structure_supported(self, rng, backend):
         _, structure, q, l, u = _structured_problem(rng, elastic=True)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True, kkt_backend=backend))
+        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         warm = ws.solve()
-        cold = solve_qp(
-            structure.P, q, structure.A, l, u,
-            settings=QPSettings(early_polish=True),
-        )
+        cold = solve_qp(structure.P, q, structure.A, l, u)
         assert warm.status is QPStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
 
     def test_single_period_horizon(self, rng, backend):
         _, structure, q, l, u = _structured_problem(rng, horizon=1)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True, kkt_backend=backend))
+        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         warm = ws.solve()
-        cold = solve_qp(
-            structure.P, q, structure.A, l, u,
-            settings=QPSettings(early_polish=True),
-        )
+        cold = solve_qp(structure.P, q, structure.A, l, u)
         assert warm.status is QPStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-8)
 
@@ -493,9 +485,7 @@ class TestBandedActiveSetSystem:
             demand_slack_penalty=5.0 if elastic else None,
         )
         problem = QPProblem(structure.P, q, structure.A, l, u)
-        optimum = solve_qp(
-            structure.P, q, structure.A, l, u, settings=QPSettings(early_polish=True)
-        )
+        optimum = solve_qp(structure.P, q, structure.A, l, u)
         assert optimum.status is QPStatus.OPTIMAL
         lower, upper = guess_active_set(problem, structure.A @ optimum.x, optimum.y)
         view = structure.blocks
@@ -525,9 +515,7 @@ class TestBandedBackendDispatch:
         _, structure, q, l, u = _structured_problem(rng)
         results = {}
         for backend in ("sparse", "banded"):
-            ws = QPWorkspace(
-                settings=QPSettings(early_polish=True, kkt_backend=backend)
-            )
+            ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
             ws.setup(
                 structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks
             )
@@ -589,10 +577,9 @@ class TestDSPPWorkspace:
         ws = DSPPWorkspace()
         demand = rng.uniform(5.0, 20.0, size=(2, 3))
         prices = rng.uniform(0.5, 2.0, size=(2, 3))
-        # Plain QPSettings() leaves early polish off, which a DSPP solve
-        # without settings turns on: no crossover, so a repeat solve of the
-        # same data still runs ADMM.
-        settings = QPSettings()
+        # With early polish off nothing caches the certified system, so a
+        # repeat solve of the same data still runs ADMM.
+        settings = QPSettings(early_polish=False)
         for _ in range(2):
             warm = solve_dspp(
                 small_instance, demand, prices, settings=settings, workspace=ws
@@ -600,6 +587,19 @@ class TestDSPPWorkspace:
             assert warm.qp.iterations > 0
         assert ws._qp.settings is settings
         assert ws._qp._polish_system is None
+
+    def test_plain_settings_cache_the_certified_system(self, small_instance, rng):
+        # Early polish is on unless a caller turns it off, so plain
+        # QPSettings() re-solve identical data from the cached active set.
+        ws = DSPPWorkspace()
+        demand = rng.uniform(5.0, 20.0, size=(2, 3))
+        prices = rng.uniform(0.5, 2.0, size=(2, 3))
+        solutions = [
+            solve_dspp(small_instance, demand, prices, settings=QPSettings(), workspace=ws)
+            for _ in range(2)
+        ]
+        assert solutions[0].qp.polished
+        assert solutions[1].qp.iterations == 0
 
 
 def _walk_to_end(scenario, window, settings=None, cold=False):
@@ -710,7 +710,7 @@ class TestWorkspaceProperties:
     )
     @settings(max_examples=15)
     def test_warm_matches_cold_on_random_walks(self, seed, num_updates, scale):
-        self._walk(seed, num_updates, scale, QPSettings())
+        self._walk(seed, num_updates, scale, QPSettings(early_polish=False))
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -719,7 +719,7 @@ class TestWorkspaceProperties:
     )
     @settings(max_examples=15)
     def test_crossover_matches_cold_on_random_walks(self, seed, num_updates, scale):
-        self._walk(seed, num_updates, scale, QPSettings(early_polish=True))
+        self._walk(seed, num_updates, scale, QPSettings())
 
 
 class _NoProduct:
@@ -805,7 +805,9 @@ class TestStagedCertificate:
 
 class TestCachedTransposes:
     def test_steady_state_solves_build_no_transpose(self, monkeypatch):
-        scenario = build_paper_scenario(num_periods=12, seed=0)
+        # Seed 6: the set-up solve's ADMM pass reaches an adaptive-rho
+        # refactorization before its early polish certifies.
+        scenario = build_paper_scenario(num_periods=12, seed=6)
         instance = scenario.instance
         window = 6
         ws = DSPPWorkspace()
@@ -876,7 +878,7 @@ class TestCachedTransposes:
                 workspace_module, name, counted(record, getattr(workspace_module, name))
             )
         scenario = build_paper_scenario(num_periods=12, seed=0)
-        settings = QPSettings(early_polish=True, kkt_backend="sparse")
+        settings = QPSettings(kkt_backend="sparse")
         for _ in _walk_to_end(scenario, window=6, settings=settings):
             pass
         built = [system for _, system in builds if system is not None]
@@ -887,7 +889,7 @@ class TestCachedTransposes:
 
     def test_snapshot_drops_transposes_and_scratch(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(early_polish=True))
+        ws = QPWorkspace()
         ws.setup(P, A, q=q, l=l, u=u)
         ws.solve()
         state = ws.__getstate__()

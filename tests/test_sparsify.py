@@ -112,9 +112,7 @@ class TestSparsifiedSolutions:
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(
-                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="on"
-            ),
+            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="on"),
         )
         unusable = ~pruned_instance.usable_pairs
         assert np.count_nonzero(solution.trajectory.states[:, unusable]) == 0
@@ -126,17 +124,13 @@ class TestSparsifiedSolutions:
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(
-                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="off"
-            ),
+            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="off"),
         )
         reduced = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(
-                early_polish=True, kkt_backend=kkt_backend, sparsify_columns="on"
-            ),
+            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="on"),
         )
         assert reduced.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
 
