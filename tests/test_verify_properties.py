@@ -58,3 +58,22 @@ def test_checks_use_only_registered_tiers():
     for spec in CHECKS.values():
         assert spec.tiers, spec.name
         assert set(spec.tiers) <= set(TIERS), spec.name
+
+
+def test_workspace_sequence_checks_the_default_path_against_plain_admm(monkeypatch):
+    # Early polish is on by default, so a reference solve that took the
+    # default would share the crossover it is meant to check.
+    from repro.verify import properties
+
+    settings_seen = []
+    solve_qp = properties.solve_qp
+
+    def recording(*args, settings=None, **kwargs):
+        settings_seen.append(settings)
+        return solve_qp(*args, settings=settings, **kwargs)
+
+    monkeypatch.setattr(properties, "solve_qp", recording)
+    result = run_trial("qp_workspace_sequence", "tiny", [0])
+    assert not result.failed, result.describe()
+    assert settings_seen
+    assert all(s is not None and not s.early_polish for s in settings_seen)
