@@ -26,6 +26,7 @@ coordinator to act on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,6 +196,24 @@ class QPBlockView:
     demand_coeff: np.ndarray
     control_hessian: np.ndarray
     active_pairs: np.ndarray | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle everything but :attr:`memo`, so a snapshot's bytes do not
+        depend on which solver tables were filled before it."""
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+    @property
+    def memo(self) -> dict[str, Any]:
+        """Per-view scratch tables a solver derives from this view alone
+        (the banded active-set builder keeps its chain inverses here).
+        Never pickled; a restored view starts with an empty memo."""
+        cached = self.__dict__.get("_memo")
+        if cached is None:
+            cached = {}
+            object.__setattr__(self, "_memo", cached)
+        return cached  # type: ignore[no-any-return]
 
     @property
     def pairs_per_step(self) -> int:

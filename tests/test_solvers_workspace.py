@@ -24,6 +24,7 @@ from repro.solvers.kkt import (
     certify_kkt_point,
     guess_active_set,
     kkt_residuals,
+    refine_active_set_solution,
     solve_active_set_system,
 )
 from repro.solvers.qp import QPProblem, QPSettings, QPStatus, solve_qp
@@ -493,9 +494,11 @@ class TestBandedActiveSetSystem:
         assert system is not None
         assert system._has_cap == (capacity < 1e5)  # an active capacity row
         assert system._chain_inv.shape[0] == view.pairs_per_step
-        x, y = system.solve(problem)
-        x_ref, y_ref = solve_active_set_system(
-            problem, build_active_set_system(problem, lower, upper)
+        # Both refined: the sparse trial point solves the regularized system.
+        x, y = system.refine(problem, *system.solve(problem))
+        sparse = build_active_set_system(problem, lower, upper)
+        x_ref, y_ref = refine_active_set_solution(
+            problem, sparse, *solve_active_set_system(problem, sparse)
         )
         np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(x_ref)))
         np.testing.assert_allclose(y, y_ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(y_ref)))
