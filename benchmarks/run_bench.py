@@ -15,9 +15,11 @@ certified with :func:`repro.verify.oracles.check_qp_kkt`.
 Per row, ``BENCH_solver.json`` records ``warm_step_ms`` (the mean wall
 time of steps 1.., since step 0 pays the set-up and the cold first
 solve), ``num_steps``, ``kkt_worst`` (the row's worst scaled KKT
-residual) and ``active_set_builds`` (active-set systems built over the
-timed steps, banded and sparse).  The script exits 1 if any solve is not
-OPTIMAL or fails its certificate.
+residual), ``max_bound_violation`` (the row's worst absolute bound
+violation ``max(l - Ax, Ax - u)``) and ``active_set_builds`` (active-set
+systems built over the timed steps, banded and sparse).  The script exits
+1 if any solve is not OPTIMAL, fails its certificate or violates a bound
+by more than ``MAX_BOUND_VIOLATION``.
 
 Usage::
 
@@ -57,6 +59,10 @@ ACTIVE_SET_BUILDERS = ("build_banded_active_set_system", "build_active_set_syste
 
 # The tolerance check_qp_kkt certifies against, as in perfbench.
 KKT_TOL = 1e-4
+
+# Largest absolute bound violation a shipped solve may have: the limit the
+# solver's own certificate applies to every polished point.
+MAX_BOUND_VIOLATION = 1e-9
 
 
 def _instance(L: int, V: int, density: float, seed: int) -> DSPPInstance:
@@ -128,6 +134,7 @@ def bench_row(name: str) -> tuple[dict[str, object], list[str]]:
     workspace = DSPPWorkspace()
     times: list[float] = []
     kkt_worst = 0.0
+    max_violation = 0.0
     failures: list[str] = []
     builds = 0
     for k in range(num_steps):
@@ -150,6 +157,12 @@ def bench_row(name: str) -> tuple[dict[str, object], list[str]]:
         kkt_worst = max(kkt_worst, residual)
         if residual > KKT_TOL:
             failures.append(f"{name} step {k}: {findings[0]}")
+        problem = workspace._qp.problem
+        ax = problem.A @ qp.x
+        violation = float(np.max(np.maximum(problem.l - ax, ax - problem.u), initial=0.0))
+        max_violation = max(max_violation, violation)
+        if violation > MAX_BOUND_VIOLATION:
+            failures.append(f"{name} step {k}: bound violation {violation:.3e}")
         current = current.with_initial_state(solution.trajectory.states[0])
     row = {
         "L": L,
@@ -159,6 +172,7 @@ def bench_row(name: str) -> tuple[dict[str, object], list[str]]:
         "num_steps": num_steps,
         "warm_step_ms": round(1e3 * float(np.mean(times)), 3),
         "kkt_worst": kkt_worst,
+        "max_bound_violation": max_violation,
         "active_set_builds": builds,
     }
     return row, failures
@@ -189,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         failures += row_failures
         print(
             f"   warm {row['warm_step_ms']} ms/step, kkt_worst {row['kkt_worst']:.3e}, "
+            f"max bound violation {row['max_bound_violation']:.3e}, "
             f"active-set builds {row['active_set_builds']}"
         )
     out.write_text(json.dumps(results, indent=2) + "\n")
