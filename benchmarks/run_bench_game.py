@@ -79,12 +79,12 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
     "continental": (2,),
 }
 
-# Scale-appropriate solver settings.  The sparse scales ride the
-# sparsified banded backend, same as the solver benchmark's candidates.
+# Scale-appropriate solver settings.  The sparse scales prune their
+# SLA-unusable columns; the KKT backend is what use_banded_backend picks.
 SCALE_SETTINGS: dict[str, QPSettings] = {
     "paper": QPSettings(),
-    "xlarge": QPSettings(kkt_backend="banded", sparsify_columns="on"),
-    "continental": QPSettings(kkt_backend="banded", sparsify_columns="on"),
+    "xlarge": QPSettings(sparsify_columns="on"),
+    "continental": QPSettings(sparsify_columns="on"),
 }
 
 # Worker reply window of the sharded pools.  A continental round takes

@@ -280,22 +280,13 @@ class MPCController:
         self._imputed_prices = None
         return flags
 
-    def plan(
-        self,
-        horizon: int | None = None,
-        *,
-        settings: QPSettings | None = None,
-        cold: bool = False,
-    ) -> MPCStep:
-        """Forecast, solve the horizon DSPP and apply ``u_{k|k}``.
+    def plan(self, horizon: int | None = None, *, cold: bool = False) -> MPCStep:
+        """Forecast, solve the horizon DSPP on the persistent workspace
+        and apply ``u_{k|k}``.
 
         Args:
             horizon: override of the window length for this step (used to
                 clamp near the end of a finite run).
-            settings: per-call override of the solver settings (e.g. the
-                degradation ladder's ``kkt_backend="sparse"`` rung).  The
-                override solves on a throwaway workspace and leaves the
-                persistent one untouched.
             cold: drop the persistent workspace's cached factorization and
                 stored iterates before solving (a from-scratch
                 re-factorization of the same problem).
@@ -325,9 +316,9 @@ class MPCController:
             self.instance.with_initial_state(self._state),
             predicted_demand,
             predicted_prices,
-            settings=settings if settings is not None else self.config.qp_settings,
+            settings=self.config.qp_settings,
             demand_slack_penalty=self.config.slack_penalty,
-            workspace=self._workspace if settings is None else None,
+            workspace=self._workspace,
         )
 
         control = solution.first_control

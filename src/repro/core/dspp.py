@@ -67,8 +67,10 @@ class DSPPWorkspace:
         num_updates: vector-only updates served from the cache.
     """
 
-    def __init__(self) -> None:
-        self._qp = QPWorkspace()
+    def __init__(self, *, _banded: bool | None = None) -> None:
+        # ``_banded`` forces the inner workspace's KKT backend (see
+        # QPWorkspace); only the backend reference comparisons set it.
+        self._qp = QPWorkspace(_banded=_banded)
         self._structure: StackedQPStructure | None = None
         self._settings: QPSettings | None = None
 
@@ -119,7 +121,7 @@ class DSPPWorkspace:
 
     def invalidate(self) -> None:
         """Drop all cached state (structure, factorization and iterates)."""
-        self._qp = QPWorkspace()
+        self._qp = QPWorkspace(_banded=self._qp._banded)
         self._structure = None
         self._settings = None
 

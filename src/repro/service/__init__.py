@@ -3,7 +3,7 @@
 Wraps the paper's control loop in three robustness layers: versioned,
 checksummed checkpoints with atomic writes and loud corruption fallback
 (:mod:`repro.service.checkpoint`), a solver degradation ladder
-warm → cold → sparse → hold with a structured event log
+warm → cold → hold with a structured event log
 (:mod:`repro.service.ladder`), and seeded deterministic fault injection
 (:mod:`repro.service.faults`).  :class:`PlacementService` glues them to
 the monitoring/controller/router/metrics loop; ``python -m repro serve``

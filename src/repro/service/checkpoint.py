@@ -1,6 +1,6 @@
 """Versioned, checksummed checkpoints: a base file, a journal and small generations.
 
-A checkpoint directory (format version 2) holds one *series*: the files a
+A checkpoint directory (format version 3) holds one *series*: the files a
 run writes from its first checkpoint on.
 
 * ``base.bin`` holds the immutable objects (the service's scenario and
@@ -94,7 +94,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"DSPPCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 BASE_NAME = "base.bin"
 JOURNAL_NAME = "journal.bin"
 

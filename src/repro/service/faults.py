@@ -19,7 +19,8 @@ kind                     effect
 ``telemetry_gap``        the whole observation vector is lost (all-NaN)
 ``deadline_squeeze``     the first ``depth`` ladder rungs are treated
                          as timed out (deterministic stand-in for a
-                         wall-clock deadline; see ``LadderConfig``)
+                         wall-clock deadline; see ``LadderConfig``);
+                         the terminal ``hold`` rung is exempt
 ``checkpoint_corruption``  the generation written at this period is
                          damaged on disk after the write (flipped bytes
                          or truncation) — restore must fall back
@@ -134,7 +135,8 @@ def make_fault_plan(
         kind = str(rng.choice(list(kinds)))
         payload = 0
         if kind == "deadline_squeeze":
-            # Squeeze 1..3 rungs; depth 3 forces the terminal hold rung.
+            # Squeeze 1..3 rungs; the hold rung is exempt, so any depth
+            # >= 2 forces it.
             payload = int(rng.integers(1, 4))
         elif kind == "worker_kill":
             payload = int(rng.integers(0, 4))

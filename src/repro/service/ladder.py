@@ -13,19 +13,17 @@ rung    name        strategy
 1       ``cold``    drop the workspace cache and re-factorize the same
                     problem from scratch (clears any poisoned iterate and
                     re-equilibrates against the current data)
-2       ``sparse``  solve on a throwaway workspace with the plain
-                    sparse-LU KKT backend, sharing no cached state
-                    (sidesteps banded backend trouble)
-3       ``hold``    keep the previous placement unchanged (``u = 0``)
+2       ``hold``    keep the previous placement unchanged (``u = 0``)
                     and account the unserved-demand slack explicitly
 ======  ==========  ====================================================
 
 Every transition is recorded as a :class:`DegradationEvent`; the terminal
 rung of each period is part of the service result, so a chaos campaign
-can assert that *every* injected fault ended in a terminal state (rung 3
-always terminates — it performs no solve).  The ladder is deterministic:
-given the same fault plan it descends identically on every replay, which
-is what lets restore-after-crash reproduce a degraded run bitwise.
+can assert that *every* injected fault ended in a terminal state (rung 2
+always terminates — it performs no solve, and neither a deadline nor a
+squeeze skips it).  The ladder is deterministic: given the same fault
+plan it descends identically on every replay, which is what lets
+restore-after-crash reproduce a degraded run bitwise.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ __all__ = [
     "LadderConfig",
 ]
 
-LADDER_RUNGS: tuple[str, ...] = ("warm", "cold", "sparse", "hold")
+LADDER_RUNGS: tuple[str, ...] = ("warm", "cold", "hold")
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,8 @@ class DegradationEvent:
         period: control period the event belongs to.
         rung: ladder rung name (or ``"service"`` for loop-level events
             such as checkpoint fallback and observation imputation).
-        outcome: what happened — ``"error"`` (the solve raised),
-            ``"status"`` (solver returned non-optimal), ``"timeout"``
+        outcome: what happened — ``"error"`` (the solve raised, which
+            includes a non-optimal solver status), ``"timeout"``
             (deadline exceeded or squeezed), ``"accepted"`` (this rung's
             solution was applied after a degradation), ``"held"`` (the
             terminal hold rung was applied), ``"imputed"`` (telemetry was

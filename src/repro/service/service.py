@@ -21,7 +21,7 @@ kernel's plan hook, and wraps every period in three robustness layers:
    ``service_crash_recovery`` check in :mod:`repro.verify` fuzzes exactly
    this property.
 2. **Degradation ladder** — a misbehaving solve descends
-   warm → cold → sparse → hold (see :mod:`repro.service.ladder`), each
+   warm → cold → hold (see :mod:`repro.service.ladder`), each
    transition recorded in the :class:`~repro.service.ladder.DegradationLog`.
 3. **Deterministic fault injection** — an optional
    :class:`~repro.service.faults.FaultPlan` perturbs telemetry, squeezes
@@ -34,7 +34,7 @@ kernel's plan hook, and wraps every period in three robustness layers:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -51,7 +51,6 @@ from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.ladder import LADDER_RUNGS, DegradationLog, LadderConfig
 from repro.simulation.engine import RoutedPart, SimulationResult
 from repro.simulation.scenario import Scenario
-from repro.solvers.qp import QPSettings, QPStatus
 
 __all__ = ["PlacementService", "ServiceConfig", "ServiceResult"]
 
@@ -78,7 +77,6 @@ class ServiceConfig:
             ``"carry_forward"`` — one bad sample must not kill the loop).
         slack_penalty: per-unit demand-shortfall penalty of the elastic
             horizon solves (keeps degraded periods feasible).
-        qp_settings: solver settings for the per-period solves.
         ladder: retry budgets and the per-period deadline.
         checkpoint_interval: write a generation every this many periods.
         keep_checkpoints: generations retained on disk.
@@ -90,7 +88,6 @@ class ServiceConfig:
     predictor: str = "last_value"
     imputation: str = "carry_forward"
     slack_penalty: float = 1e3
-    qp_settings: QPSettings | None = None
     ladder: LadderConfig = LadderConfig()
     checkpoint_interval: int = 1
     keep_checkpoints: int = 3
@@ -165,7 +162,6 @@ class PlacementService:
             _build_predictor(self.config.predictor, instance.num_datacenters),
             MPCConfig(
                 window=self.config.window,
-                qp_settings=self.config.qp_settings,
                 slack_penalty=self.config.slack_penalty,
                 imputation=self.config.imputation,
             ),
@@ -391,9 +387,6 @@ class PlacementService:
                 k, "service", "imputed", f"carried forward {repaired} entries"
             )
 
-    def _sparse_settings(self) -> QPSettings:
-        return replace(self.config.qp_settings or QPSettings(), kkt_backend="sparse")
-
     def _ladder_solve(self, horizon: int) -> MPCStep:
         """Descend the degradation ladder until a rung terminates."""
         k = self.period
@@ -402,22 +395,8 @@ class PlacementService:
         start = time.monotonic() if cfg.deadline_s is not None else 0.0
         degraded = False
         for rung_index, rung in enumerate(LADDER_RUNGS):
-            if rung_index < squeeze:
-                self.log.record(
-                    k, rung, "timeout", "deadline squeeze (fault injection)"
-                )
-                degraded = True
-                continue
-            if (
-                cfg.deadline_s is not None
-                and rung != "hold"
-                and time.monotonic() - start > cfg.deadline_s
-            ):
-                self.log.record(
-                    k, rung, "timeout", f"period deadline {cfg.deadline_s}s exceeded"
-                )
-                degraded = True
-                continue
+            # The terminal rung performs no solve, so neither a squeeze nor
+            # the deadline skips it.
             if rung == "hold":
                 step = self.controller.hold(horizon)
                 slack = self._hold_slack(step)
@@ -429,16 +408,23 @@ class PlacementService:
                 )
                 self._terminal_rungs.append("hold")
                 return step
+            if rung_index < squeeze:
+                self.log.record(
+                    k, rung, "timeout", "deadline squeeze (fault injection)"
+                )
+                degraded = True
+                continue
+            if cfg.deadline_s is not None and time.monotonic() - start > cfg.deadline_s:
+                self.log.record(
+                    k, rung, "timeout", f"period deadline {cfg.deadline_s}s exceeded"
+                )
+                degraded = True
+                continue
             for attempt in range(1, cfg.attempts_per_rung + 1):
                 try:
-                    if rung == "warm":
-                        step = self.controller.plan(horizon)
-                    elif rung == "cold":
-                        step = self.controller.plan(horizon, cold=True)
-                    else:
-                        step = self.controller.plan(
-                            horizon, settings=self._sparse_settings()
-                        )
+                    # solve_dspp raises on every non-OPTIMAL status, so a
+                    # returned step is an optimal one.
+                    step = self.controller.plan(horizon, cold=rung == "cold")
                 except _SOLVE_FAILURES as error:
                     self.log.record(
                         k,
@@ -449,19 +435,12 @@ class PlacementService:
                     )
                     degraded = True
                     continue
-                assert step.solution is not None
-                status = step.solution.qp.status
-                if status is QPStatus.OPTIMAL:
-                    if degraded or rung != "warm":
-                        self.log.record(
-                            k, rung, "accepted", f"recovered at rung {rung!r}", attempt
-                        )
-                    self._terminal_rungs.append(rung)
-                    return step
-                self.log.record(
-                    k, rung, "status", f"solver status {status.name}", attempt
-                )
-                degraded = True
+                if degraded or rung != "warm":
+                    self.log.record(
+                        k, rung, "accepted", f"recovered at rung {rung!r}", attempt
+                    )
+                self._terminal_rungs.append(rung)
+                return step
         raise AssertionError("unreachable: the hold rung always terminates")
 
     def _hold_slack(self, step: MPCStep) -> float:

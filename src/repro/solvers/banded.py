@@ -112,12 +112,15 @@ _KKT_REFINE_TOL = 1e-12
 
 
 def use_banded_backend(view: QPBlockView) -> bool:
-    """The ``kkt_backend="auto"`` dispatch rule.
+    """The KKT backend rule of every block-structured workspace.
 
     The banded recursion wins when the horizon is long (sparse LU fill-in
     compounds across periods) and the per-period block is large (dense
     Cholesky/LU run at BLAS speed).  Short horizons or small blocks keep
-    the sparse path, whose constant factors are lower.
+    the sparse path, whose constant factors are lower.  There is no
+    setting to override it: ``QPWorkspace`` adds only its two sparse
+    fallbacks (a banded factorization that fails numerically, and an
+    active set the banded builder declines).
     """
     return (
         view.num_steps >= _MIN_AUTO_STEPS

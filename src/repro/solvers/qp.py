@@ -218,16 +218,6 @@ class QPSettings:
     re-solves against the new data before running any ADMM.  Turning it
     off keeps only the crossover after a converged ADMM pass.
 
-    ``kkt_backend`` selects how KKT systems are factorized when the
-    workspace is handed the per-period block structure of a stacked
-    horizon QP (see :class:`repro.core.matrices.QPBlockView`):
-    ``"sparse"`` is the general sparse-LU path, ``"banded"`` forces the
-    block-tridiagonal Riccati-style recursion of
-    :mod:`repro.solvers.banded` (explicit per-period block inverses),
-    and ``"auto"`` (the default) picks banded when the horizon and
-    per-period block size are large enough for it to win.  Problems
-    without block structure always use the sparse path.
-
     ``sparsify_columns`` controls SLA column pruning of the stacked
     structure (see :func:`repro.core.matrices.build_qp_structure`):
     ``"auto"`` (default) prunes the variables of SLA-unusable pairs
@@ -236,19 +226,18 @@ class QPSettings:
     inexact) and ``"off"`` keeps the dense layout.  The flag is consumed
     by the DSPP layer (:mod:`repro.core.dspp`); raw :func:`solve_qp`
     calls receive whatever layout the caller assembled.
+
+    The KKT backend is not a setting: a workspace handed the per-period
+    block structure picks it by
+    :func:`~repro.solvers.banded.use_banded_backend` (see
+    :meth:`repro.solvers.workspace.QPWorkspace.setup`).
     """
 
     max_iterations: int = 20000
     early_polish: bool = True
-    kkt_backend: str = "auto"
     sparsify_columns: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kkt_backend not in ("auto", "sparse", "banded"):
-            raise ValueError(
-                f"kkt_backend must be 'auto', 'sparse' or 'banded', "
-                f"got {self.kkt_backend!r}"
-            )
         if self.sparsify_columns not in ("auto", "on", "off"):
             raise ValueError(
                 f"sparsify_columns must be 'auto', 'on' or 'off', "

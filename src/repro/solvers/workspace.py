@@ -99,7 +99,9 @@ class QPWorkspace:
             between this and the solve count is the cached work.
     """
 
-    def __init__(self, settings: QPSettings | None = None) -> None:
+    def __init__(
+        self, settings: QPSettings | None = None, *, _banded: bool | None = None
+    ) -> None:
         self.settings = settings or QPSettings()
         self.num_setups = 0
         self.num_updates = 0
@@ -118,8 +120,11 @@ class QPWorkspace:
         self._rho_vec: np.ndarray | None = None
         self._lu: spla.SuperLU | BandedKKTSolver | None = None
         # Block structure of a stacked horizon QP (when the caller has
-        # one) and the backend decision derived from it + the settings.
+        # one) and the backend decision derived from it.  ``_banded``
+        # overrides use_banded_backend for block-structured problems; only
+        # the backend reference comparisons set it.
         self._blocks: QPBlockView | None = None
+        self._banded = _banded
         self._use_banded = False
         self._x: np.ndarray | None = None
         self._z: np.ndarray | None = None
@@ -254,8 +259,14 @@ class QPWorkspace:
             u: initial upper bounds (default ``+inf``).
             settings: replaces the workspace settings if given.
             blocks: per-period block structure of a stacked horizon QP;
-                enables the block-banded KKT backend (see
-                ``QPSettings.kkt_backend``).  Must match ``P``/``A``.
+                must match ``P``/``A``.  The workspace then factorizes
+                with the block-banded KKT backend when
+                :func:`~repro.solvers.banded.use_banded_backend` picks it.
+                Without blocks, or when the rule declines, it runs the
+                general sparse LU.  The banded path itself falls back to
+                sparse LU: for good when a banded factorization fails
+                numerically, and per active set when the banded builder
+                declines one.
             carry: ``(columns, rows)``, the index in the previous problem of
                 each column and row of the new one (see
                 :meth:`repro.core.matrices.QPBlockView.shift_indices`).
@@ -264,14 +275,12 @@ class QPWorkspace:
 
         Raises:
             ValueError: on malformed inputs (see
-                :meth:`repro.solvers.qp.QPProblem.build`), when the
-                banded backend is forced without (matching) blocks, or when
-                ``carry`` does not match the new problem or nothing was set
-                up before.
+                :meth:`repro.solvers.qp.QPProblem.build`), on blocks that do
+                not match the problem, or when ``carry`` does not match the
+                new problem or nothing was set up before.
         """
         if settings is not None:
             self.settings = settings
-        cfg = self.settings
         sanitize.check_finite("QPWorkspace.setup", P, A, q)
         sanitize.check_finite("QPWorkspace.setup bounds", l, u, allow_inf=True)
         P_csc = QPProblem.build_matrix(P)
@@ -307,15 +316,8 @@ class QPWorkspace:
                 f"does not match problem ({n}, {m})"
             )
         self._blocks = blocks
-        if cfg.kkt_backend == "banded" and blocks is None:
-            raise ValueError(
-                "kkt_backend='banded' requires the per-period block "
-                "structure (pass blocks=structure.blocks)"
-            )
-        self._use_banded = cfg.kkt_backend == "banded" or (
-            cfg.kkt_backend == "auto"
-            and blocks is not None
-            and use_banded_backend(blocks)
+        self._use_banded = blocks is not None and (
+            use_banded_backend(blocks) if self._banded is None else self._banded
         )
 
         work, scaling = _qp._ruiz_equilibrate(problem)

@@ -260,12 +260,16 @@ class _Pair(NamedTuple):
     along the walk only if ``reference_persists``; otherwise each of its
     solves is cold.  A ``pruned_share`` of draws comes from
     :func:`random_pruned_instance`, the rest from :func:`random_instance`.
+    ``banded`` forces the KKT backend of the reference and candidate
+    workspaces (``None``: the ``use_banded_backend`` rule), because the
+    rule sends every tier's draws to the sparse backend.
     """
 
     reference: QPSettings
     candidate: QPSettings
     reference_persists: bool
     pruned_share: float
+    banded: tuple[bool | None, bool | None] = (None, None)
 
 
 # The paths Algorithm 1 may take to the same horizon QP.  A new path
@@ -273,12 +277,7 @@ class _Pair(NamedTuple):
 # only pruned instances: random_instance may leave state at SLA-unusable
 # pairs, where sparsify_columns="on" refuses to prune.
 EQUIVALENCE_PAIRS: dict[str, _Pair] = {
-    "backend": _Pair(
-        QPSettings(kkt_backend="sparse"),
-        QPSettings(kkt_backend="banded"),
-        True,
-        0.4,
-    ),
+    "backend": _Pair(QPSettings(), QPSettings(), True, 0.4, (False, True)),
     "layout": _Pair(
         QPSettings(sparsify_columns="off"),
         QPSettings(sparsify_columns="on"),
@@ -385,8 +384,14 @@ def prop_config_equivalence(
         pruned=bool(rng.random() < config.pruned_share),
     )
     penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
-    reference_workspace = DSPPWorkspace() if config.reference_persists else None
-    sides = ((config.reference, reference_workspace), (config.candidate, DSPPWorkspace()))
+    reference_banded, candidate_banded = config.banded
+    reference_workspace = (
+        DSPPWorkspace(_banded=reference_banded) if config.reference_persists else None
+    )
+    sides = (
+        (config.reference, reference_workspace),
+        (config.candidate, DSPPWorkspace(_banded=candidate_banded)),
+    )
     findings: list[Discrepancy] = []
 
     def compare(label: str) -> DSPPSolution:
@@ -1240,8 +1245,8 @@ def prop_service_crash_recovery(
     price histories, the per-period terminal ladder rungs and the
     degradation log (less the resumed run's own ``restored`` and
     ``checkpoint_fallback`` events).  Every period — faulted or not — must
-    terminate at a known rung (the ladder never wedges: rung 3 performs no
-    solve).
+    terminate at a known rung (the ladder never wedges: its ``hold`` rung
+    performs no solve).
     """
     num_periods = int(rng.integers(4, 6 if tier.max_horizon <= 6 else 9))
     scenario = build_small_scenario(

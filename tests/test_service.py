@@ -8,12 +8,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import sanitize
 from repro.control.mpc import MPCConfig, MPCController, NonFiniteObservationError
+from repro.core.dspp import DSPPWorkspace
 from repro.prediction.naive import LastValuePredictor
 from repro.service import (
     LADDER_RUNGS,
@@ -27,6 +29,7 @@ from repro.service import (
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.scenario import build_paper_scenario, build_small_scenario
+from repro.solvers.qp import QPStatus
 
 
 def _controller(instance, **config_kwargs):
@@ -207,13 +210,13 @@ class TestDegradationLadder:
         plan = FaultPlan(
             seed=0,
             events=(
-                FaultEvent("deadline_squeeze", period=1, payload=2),
-                FaultEvent("deadline_squeeze", period=3, payload=3),
+                FaultEvent("deadline_squeeze", period=1, payload=1),
+                FaultEvent("deadline_squeeze", period=3, payload=2),
             ),
         )
         result = PlacementService(scenario, fault_plan=plan).run()
         assert result is not None
-        assert result.terminal_rungs[1] == "sparse"
+        assert result.terminal_rungs[1] == "cold"
         assert result.terminal_rungs[3] == "hold"
         held = [e for e in result.log.events_for(3) if e.outcome == "held"]
         assert len(held) == 1 and "slack" in held[0].detail
@@ -244,6 +247,65 @@ class TestDegradationLadder:
         assert result is not None
         outcomes = {e.outcome for e in result.log.events_for(2)}
         assert {"fault", "imputed"} <= outcomes
+
+    @staticmethod
+    def _failing_solves(monkeypatch, failing_calls, fail):
+        """Patch ``DSPPWorkspace.solve`` so the calls whose 0-based index
+        ``failing_calls`` holds go through ``fail`` instead."""
+        original = DSPPWorkspace.solve
+        calls = []
+
+        def solve(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) - 1 in failing_calls:
+                return fail(original(self, *args, **kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DSPPWorkspace, "solve", solve)
+
+    @staticmethod
+    def _raise(_):
+        raise np.linalg.LinAlgError("injected factorization failure")
+
+    def test_solver_error_on_warm_recovers_at_cold(self, monkeypatch):
+        # Periods 0 and 1 solve once each, so call 2 is period 2's warm try.
+        self._failing_solves(monkeypatch, {2}, self._raise)
+        scenario = build_small_scenario(num_periods=6, seed=4)
+        result = PlacementService(scenario).run()
+        assert result is not None
+        assert result.terminal_rungs[2] == "cold"
+        log = [(e.rung, e.outcome) for e in result.log.events_for(2)]
+        assert log == [("warm", "error"), ("cold", "accepted")]
+        assert "LinAlgError" in result.log.events_for(2)[0].detail
+        assert set(result.terminal_rungs) - {"cold"} == {"warm"}
+
+    def test_solver_error_on_every_rung_holds(self, monkeypatch):
+        self._failing_solves(monkeypatch, range(2, 1000), self._raise)
+        scenario = build_small_scenario(num_periods=6, seed=4)
+        result = PlacementService(scenario).run()
+        assert result is not None
+        assert result.terminal_rungs == ("warm", "warm", "hold", "hold", "hold")
+        log = [(e.rung, e.outcome) for e in result.log.events_for(2)]
+        assert log == [("warm", "error"), ("cold", "error"), ("hold", "held")]
+        assert "slack" in result.log.events_for(2)[-1].detail
+        assert np.array_equal(result.states[2], result.states[1])
+
+    def test_non_optimal_status_escalates(self, monkeypatch):
+        def stalled(outcome):
+            stacked, solution = outcome
+            return stacked, replace(solution, status=QPStatus.MAX_ITERATIONS)
+
+        self._failing_solves(monkeypatch, {2}, stalled)
+        scenario = build_small_scenario(num_periods=6, seed=4)
+        result = PlacementService(scenario).run()
+        assert result is not None
+        assert result.terminal_rungs[2] == "cold"
+        warm, cold = result.log.events_for(2)
+        # solve_dspp turns a non-OPTIMAL status into a RuntimeError, so the
+        # ladder logs it as an error that names the status.
+        assert (warm.rung, warm.outcome) == ("warm", "error")
+        assert "max_iterations" in warm.detail
+        assert (cold.rung, cold.outcome) == ("cold", "accepted")
 
     def test_real_deadline_forces_hold(self):
         scenario = build_small_scenario(num_periods=5, seed=4)

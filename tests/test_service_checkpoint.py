@@ -106,7 +106,7 @@ class TestFileFormat:
     def test_magic_constant_is_stable(self):
         # Part of the on-disk contract documented in docs/OPERATIONS.md.
         assert CHECKPOINT_MAGIC == b"DSPPCKPT"
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
 
 
 class TestGenerations:
@@ -276,21 +276,23 @@ class TestJournal:
         with pytest.raises(CheckpointNotFoundError, match="journal.bin record 0"):
             PlacementService.restore(crash_dir)
 
-    def test_v1_directory_fails_loudly(self, tmp_path):
-        """(c) a version-1 directory is an operator problem: no fallback."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_directory_fails_loudly(self, tmp_path, version):
+        """(c) an older-version directory is an operator problem: no fallback."""
         payload = pickle.dumps({"period": 3}, protocol=4)
         for period in (2, 3):
             header = struct.pack(
                 "<8sIQ32s",
                 CHECKPOINT_MAGIC,
-                1,
+                version,
                 len(payload),
                 hashlib.sha256(payload).digest(),
             )
             checkpoint_path(tmp_path, period).write_bytes(header + payload)
-        with pytest.raises(CheckpointVersionError, match="format version 1"):
+        match = f"format version {version}"
+        with pytest.raises(CheckpointVersionError, match=match):
             PlacementService.restore(tmp_path)
-        with pytest.raises(CheckpointVersionError, match="format version 1"):
+        with pytest.raises(CheckpointVersionError, match=match):
             main(["serve", "--checkpoint-dir", str(tmp_path), "--resume"])
 
     def test_corrupt_base_raises_naming_it(self, tmp_path):

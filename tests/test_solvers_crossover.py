@@ -25,7 +25,7 @@ from repro.service import PlacementService, ServiceConfig
 from repro.simulation.scenario import build_paper_scenario
 from repro.solvers.banded import _chains, _view_tables, build_banded_active_set_system
 from repro.solvers.kkt import certify_kkt_point, guess_active_set
-from repro.solvers.qp import QPProblem, QPSettings, solve_qp
+from repro.solvers.qp import QPProblem, solve_qp
 from repro.solvers.workspace import QPWorkspace
 
 BACKENDS = ["banded", "sparse"]
@@ -70,7 +70,7 @@ def _counting(monkeypatch, *names: str) -> dict[str, int]:
 
 def _solved_workspace(backend: str):
     structure, q, l, u = _horizon_qp()
-    ws = QPWorkspace(QPSettings(kkt_backend=backend))
+    ws = QPWorkspace(_banded=backend == "banded")
     ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
     first = ws.solve()
     assert first.polished and ws._polish_system is not None
@@ -132,8 +132,7 @@ def test_screened_walk_ships_the_always_refined_points(backend, monkeypatch):
     def walk():
         scenario = build_paper_scenario(num_periods=16, seed=0)
         instance = scenario.instance
-        settings = QPSettings(kkt_backend=backend)
-        ws = DSPPWorkspace()
+        ws = DSPPWorkspace(_banded=backend == "banded")
         state = instance.initial_state
         shipped = []
         for k in range(scenario.demand.shape[1] - 6):
@@ -142,7 +141,6 @@ def test_screened_walk_ships_the_always_refined_points(backend, monkeypatch):
                 now,
                 scenario.demand[:, k : k + 6],
                 scenario.prices[:, k : k + 6],
-                settings=settings,
                 workspace=ws,
             )
             shipped.append(solution.qp.x)

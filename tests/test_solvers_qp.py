@@ -81,13 +81,8 @@ class TestQPSettings:
         assert [f.name for f in dataclasses.fields(QPSettings)] == [
             "max_iterations",
             "early_polish",
-            "kkt_backend",
             "sparsify_columns",
         ]
-
-    def test_rejects_unknown_kkt_backend(self):
-        with pytest.raises(ValueError, match="kkt_backend"):
-            QPSettings(kkt_backend="krylov")
 
 
 class TestUnconstrained:

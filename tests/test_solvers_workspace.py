@@ -18,7 +18,7 @@ from repro.core.instance import DSPPInstance
 from repro.core.matrices import build_qp_structure, build_qp_vectors
 from repro.prediction.oracle import OraclePredictor
 from repro.simulation.scenario import build_paper_scenario
-from repro.solvers.banded import build_banded_active_set_system
+from repro.solvers.banded import build_banded_active_set_system, use_banded_backend
 from repro.solvers.kkt import (
     build_active_set_system,
     certify_kkt_point,
@@ -301,7 +301,7 @@ class TestFactorizationCaching:
 
         monkeypatch.setattr(workspace_module, "BandedKKTSolver", failing)
         _, structure, q, l, u = _structured_problem(rng)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend="banded"))
+        ws = QPWorkspace(_banded=True)
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         assert ws._use_banded
         warm = ws.solve()
@@ -402,6 +402,11 @@ def _structured_problem(rng, horizon=5, elastic=False):
     return instance, structure, q, l, u
 
 
+# The private workspace argument each backend name maps to (None: the
+# use_banded_backend rule).
+_BANDED = {"sparse": False, "banded": True, "auto": None}
+
+
 @pytest.mark.parametrize("backend", ["sparse", "banded", "auto"])
 class TestBlockBackendWorkspace:
     """QPWorkspace over a stacked-horizon QP, parametrized across KKT
@@ -411,7 +416,7 @@ class TestBlockBackendWorkspace:
 
     def test_matches_cold_across_forecast_updates(self, rng, backend):
         instance, structure, q, l, u = _structured_problem(rng)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
+        ws = QPWorkspace(_banded=_BANDED[backend])
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         horizon = structure.blocks.num_steps
         for _ in range(3):
@@ -428,7 +433,7 @@ class TestBlockBackendWorkspace:
 
     def test_elastic_structure_supported(self, rng, backend):
         _, structure, q, l, u = _structured_problem(rng, elastic=True)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
+        ws = QPWorkspace(_banded=_BANDED[backend])
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         warm = ws.solve()
         cold = solve_qp(structure.P, q, structure.A, l, u)
@@ -437,7 +442,7 @@ class TestBlockBackendWorkspace:
 
     def test_single_period_horizon(self, rng, backend):
         _, structure, q, l, u = _structured_problem(rng, horizon=1)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
+        ws = QPWorkspace(_banded=_BANDED[backend])
         ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
         warm = ws.solve()
         cold = solve_qp(structure.P, q, structure.A, l, u)
@@ -505,11 +510,28 @@ class TestBandedActiveSetSystem:
 
 
 class TestBandedBackendDispatch:
-    def test_forced_block_backend_without_blocks_raises(self, rng):
+    def test_banded_without_blocks_runs_sparse(self, rng):
         P, q, A, l, u = _random_qp(rng)
-        ws = QPWorkspace(settings=QPSettings(kkt_backend="banded"))
-        with pytest.raises(ValueError, match="block"):
-            ws.setup(P, A, q=q, l=l, u=u)
+        ws = QPWorkspace(_banded=True)
+        ws.setup(P, A, q=q, l=l, u=u)
+        assert not ws._use_banded
+        assert ws.solve().status is QPStatus.OPTIMAL
+
+    @pytest.mark.parametrize("horizon, banded", [(6, True), (3, False)])
+    def test_rule_picks_the_backend_at_paper_scale(self, horizon, banded):
+        """96 pairs per period: banded from 4 periods on, sparse below."""
+        scenario = build_paper_scenario(num_periods=8, seed=0)
+        instance = scenario.instance
+        structure = build_qp_structure(instance, horizon)
+        q, l, u = build_qp_vectors(
+            structure,
+            instance,
+            scenario.demand[:, :horizon],
+            scenario.prices[:, :horizon],
+        )
+        ws = QPWorkspace()
+        ws.setup(structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks)
+        assert ws._use_banded is use_banded_backend(structure.blocks) is banded
 
     def test_backends_run_identical_admm_schedules(self, rng):
         # The KKT solve is the only thing that differs, and both backends
@@ -518,7 +540,7 @@ class TestBandedBackendDispatch:
         _, structure, q, l, u = _structured_problem(rng)
         results = {}
         for backend in ("sparse", "banded"):
-            ws = QPWorkspace(settings=QPSettings(kkt_backend=backend))
+            ws = QPWorkspace(_banded=backend == "banded")
             ws.setup(
                 structure.P, structure.A, q=q, l=l, u=u, blocks=structure.blocks
             )
@@ -605,21 +627,21 @@ class TestDSPPWorkspace:
         assert solutions[1].qp.iterations == 0
 
 
-def _walk_to_end(scenario, window, settings=None, cold=False):
+def _walk_to_end(scenario, window, banded=None, cold=False):
     """Walk one ``DSPPWorkspace`` over a scenario with oracle windows, to
     the run's last period; yields ``(horizon, warm, cold-or-None)`` per
     period, the state advanced along the warm solution."""
     instance = scenario.instance
     num_periods = scenario.demand.shape[1]
-    ws = DSPPWorkspace()
+    ws = DSPPWorkspace(_banded=banded)
     state = instance.initial_state
     for k in range(num_periods):
         horizon = min(window, num_periods - k)
         now = instance.with_initial_state(state)
         demand = scenario.demand[:, k : k + horizon]
         prices = scenario.prices[:, k : k + horizon]
-        warm = solve_dspp(now, demand, prices, settings=settings, workspace=ws)
-        reference = solve_dspp(now, demand, prices, settings=settings) if cold else None
+        warm = solve_dspp(now, demand, prices, workspace=ws)
+        reference = solve_dspp(now, demand, prices) if cold else None
         yield horizon, warm, reference
         state = warm.trajectory.states[0]
 
@@ -881,8 +903,7 @@ class TestCachedTransposes:
                 workspace_module, name, counted(record, getattr(workspace_module, name))
             )
         scenario = build_paper_scenario(num_periods=12, seed=0)
-        settings = QPSettings(kkt_backend="sparse")
-        for _ in _walk_to_end(scenario, window=6, settings=settings):
+        for _ in _walk_to_end(scenario, window=6, banded=False):
             pass
         built = [system for _, system in builds if system is not None]
         assert built and len(solves) > len(built)

@@ -104,33 +104,36 @@ class TestFingerprintAndResolve:
             solve_dspp(bad, demand, prices, settings=QPSettings(sparsify_columns="on"))
 
 
-@pytest.mark.parametrize("kkt_backend", ["sparse", "banded"])
+@pytest.mark.parametrize("backend", ["sparse", "banded"])
 class TestSparsifiedSolutions:
-    def test_pruned_pairs_are_exact_zeros(self, pruned_instance, rng, kkt_backend):
+    def test_pruned_pairs_are_exact_zeros(self, pruned_instance, rng, backend):
         demand, prices = _forecasts(pruned_instance, 4, rng)
         solution = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="on"),
+            settings=QPSettings(sparsify_columns="on"),
+            workspace=DSPPWorkspace(_banded=backend == "banded"),
         )
         unusable = ~pruned_instance.usable_pairs
         assert np.count_nonzero(solution.trajectory.states[:, unusable]) == 0
         assert np.count_nonzero(solution.trajectory.controls[:, unusable]) == 0
 
-    def test_matches_dense_objective(self, pruned_instance, rng, kkt_backend):
+    def test_matches_dense_objective(self, pruned_instance, rng, backend):
         demand, prices = _forecasts(pruned_instance, 4, rng)
         dense = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="off"),
+            settings=QPSettings(sparsify_columns="off"),
+            workspace=DSPPWorkspace(_banded=backend == "banded"),
         )
         reduced = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(kkt_backend=kkt_backend, sparsify_columns="on"),
+            settings=QPSettings(sparsify_columns="on"),
+            workspace=DSPPWorkspace(_banded=backend == "banded"),
         )
         assert reduced.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
 
