@@ -8,8 +8,9 @@ to end.  This script adds the two scales beyond it:
 
 Each row runs one closed receding-horizon MPC loop on the production
 path: one :class:`repro.core.dspp.DSPPWorkspace` and the default solver
-settings, under which ``"auto"`` resolves to the banded KKT backend over
-sparsified columns.  Only the solve is timed; each solve is then
+settings.  The zero initial state lets the layout rule
+(:func:`repro.core.matrices.prunes_unusable_pairs`) prune the SLA-unusable
+pairs' columns, and the backend rule picks the banded KKT backend.  Only the solve is timed; each solve is then
 certified with :func:`repro.verify.oracles.check_qp_kkt`.
 
 Per row, ``BENCH_solver.json`` records ``warm_step_ms`` (the mean wall

@@ -47,7 +47,6 @@ from repro.experiments.pool import ProviderPool
 from repro.game.best_response import BestResponseConfig, compute_equilibrium
 from repro.game.mpc_game import MPCGameConfig, run_mpc_game
 from repro.game.players import ServiceProvider
-from repro.solvers.qp import QPSettings
 
 __all__ = ["main"]
 
@@ -77,14 +76,6 @@ SCALE_PLAYERS: dict[str, tuple[int, ...]] = {
     "paper": (2, 4, 8),
     "xlarge": (2, 4, 8),
     "continental": (2,),
-}
-
-# Scale-appropriate solver settings.  The sparse scales prune their
-# SLA-unusable columns; the KKT backend is what use_banded_backend picks.
-SCALE_SETTINGS: dict[str, QPSettings] = {
-    "paper": QPSettings(),
-    "xlarge": QPSettings(sparsify_columns="on"),
-    "continental": QPSettings(sparsify_columns="on"),
 }
 
 # Worker reply window of the sharded pools.  A continental round takes
@@ -148,12 +139,10 @@ def _providers(
     return providers, capacity
 
 
-def _equilibrium_config(scale: str, rounds: int) -> BestResponseConfig:
+def _equilibrium_config(rounds: int) -> BestResponseConfig:
     # epsilon is effectively unreachable, so every variant runs exactly
     # ``rounds`` rounds — identical solve sequences, comparable times.
-    return BestResponseConfig(
-        epsilon=1e-12, max_iterations=rounds, qp_settings=SCALE_SETTINGS[scale]
-    )
+    return BestResponseConfig(epsilon=1e-12, max_iterations=rounds)
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -176,7 +165,7 @@ def bench_equilibrium(scale: str, num_providers: int, seed: int = 0) -> dict[str
     providers, capacity = _providers(scale, num_providers, seed)
     jobs_grid = _jobs_grid(num_providers)
 
-    warm_config = _equilibrium_config(scale, rounds)
+    warm_config = _equilibrium_config(rounds)
     start = time.perf_counter()
     warm = compute_equilibrium(providers, capacity, warm_config, jobs=1)
     warm_ms = 1e3 * (time.perf_counter() - start) / rounds
@@ -230,11 +219,7 @@ def bench_mpc_game(
                 prices=np.tile(p.prices, (1, reps))[:, :horizon],
             )
         )
-    warm_config = MPCGameConfig(
-        window=min(3, W),
-        coordination_rounds=rounds,
-        qp_settings=SCALE_SETTINGS[scale],
-    )
+    warm_config = MPCGameConfig(window=min(3, W), coordination_rounds=rounds)
     start = time.perf_counter()
     warm = run_mpc_game(extended, capacity, warm_config, jobs=1)
     warm_serial_ms = 1e3 * (time.perf_counter() - start) / num_steps

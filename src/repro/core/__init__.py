@@ -16,7 +16,7 @@
 
 from repro.core.instance import DSPPInstance
 from repro.core.matrices import (
-    PairIndexer,
+    QPBlockView,
     StackedQP,
     StackedQPStructure,
     build_qp_structure,
@@ -39,7 +39,7 @@ __all__ = [
     "build_qp_vectors",
     "build_stacked_qp",
     "structure_fingerprint",
-    "PairIndexer",
+    "QPBlockView",
     "DSPPSolution",
     "DSPPWorkspace",
     "solve_dspp",

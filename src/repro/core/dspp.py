@@ -21,7 +21,7 @@ from repro.core.matrices import (
     StackedQPStructure,
     build_qp_structure,
     build_qp_vectors,
-    resolve_sparsify,
+    prunes_unusable_pairs,
     structure_fingerprint,
     structure_from_fingerprint,
 )
@@ -54,12 +54,14 @@ class DSPPWorkspace:
     :func:`solve_dspp` uses a throwaway workspace).  The workspace
     re-validates the structure fingerprint on every solve and
     transparently rebuilds itself when the structure genuinely changed
-    (different horizon, SLA matrix, reconfiguration weights, server size or
-    elastic mode) — capacity swaps and state advances never trigger a
-    rebuild.  A rebuild for a window that is the old one minus its first
-    period (a finite run's last periods) keeps the warm state: the iterates
-    and the cached active set are shifted one period, so the first solve
-    on the shorter window starts with the crossover, not a cold ADMM run.
+    (different horizon, SLA matrix, reconfiguration weights, server size,
+    elastic mode, or the layout :func:`~repro.core.matrices.prunes_unusable_pairs`
+    picks) — capacity swaps never trigger a rebuild, and a state advance
+    only when it flips the layout.  A rebuild for a window that is the old
+    one minus its first period (a finite run's last periods) keeps the warm
+    state: the iterates and the cached active set are shifted one period,
+    so the first solve on the shorter window starts with the crossover, not
+    a cold ADMM run.
 
     Attributes:
         num_setups: structure (re)builds performed, each paying one Ruiz
@@ -67,10 +69,13 @@ class DSPPWorkspace:
         num_updates: vector-only updates served from the cache.
     """
 
-    def __init__(self, *, _banded: bool | None = None) -> None:
+    def __init__(self, *, _banded: bool | None = None, _full_mask: bool = False) -> None:
         # ``_banded`` forces the inner workspace's KKT backend (see
         # QPWorkspace); only the backend reference comparisons set it.
+        # ``_full_mask`` keeps every pair's columns where the layout rule
+        # would prune; only the layout reference comparison sets it.
         self._qp = QPWorkspace(_banded=_banded)
+        self._full_mask = _full_mask
         self._structure: StackedQPStructure | None = None
         self._settings: QPSettings | None = None
 
@@ -92,11 +97,17 @@ class DSPPWorkspace:
             if problem is not None:
                 qp_state["_problem"] = (problem.q, problem.l, problem.u)
                 qp_state["_blocks"] = None
-        return {"_qp": qp_state, "_fingerprint": fingerprint, "_settings": self._settings}
+        return {
+            "_qp": qp_state,
+            "_fingerprint": fingerprint,
+            "_settings": self._settings,
+            "_full_mask": self._full_mask,
+        }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         """Rebuild the structure, then the inner workspace on top of it."""
         self._settings = state["_settings"]
+        self._full_mask = state["_full_mask"]
         fingerprint = state["_fingerprint"]
         self._structure = (
             None if fingerprint is None else structure_from_fingerprint(fingerprint)
@@ -148,12 +159,12 @@ class DSPPWorkspace:
         # Caller-provided settings are honoured verbatim.
         effective_settings = settings if settings is not None else QPSettings()
 
-        # Column sparsification is resolved per solve against the *current*
-        # instance (the exactness precondition involves the initial state);
-        # the resolved flag is part of the fingerprint, so a solve whose
-        # resolution flips never reuses the other layout's structure.
-        sparsify = resolve_sparsify(instance, effective_settings.sparsify_columns)
-        fingerprint = structure_fingerprint(instance, T, elastic, sparsify=sparsify)
+        # The layout rule runs per solve against the *current* instance
+        # (its exactness precondition involves the initial state); the
+        # pruned flag is part of the fingerprint, so a solve whose layout
+        # flips never reuses the other layout's structure.
+        pruned = not self._full_mask and prunes_unusable_pairs(instance)
+        fingerprint = structure_fingerprint(instance, T, elastic, pruned=pruned)
         old = self._structure
         same_settings = self._settings == effective_settings
         reusable = old is not None and old.fingerprint == fingerprint and same_settings
@@ -168,9 +179,7 @@ class DSPPWorkspace:
         ):
             carry = old.blocks.shift_indices()
         if not reusable:
-            self._structure = build_qp_structure(
-                instance, T, elastic=elastic, sparsify=sparsify
-            )
+            self._structure = build_qp_structure(instance, T, elastic=elastic, pruned=pruned)
             self._settings = effective_settings
         structure = self._structure
         assert structure is not None
@@ -192,16 +201,7 @@ class DSPPWorkspace:
             )
         qp_solution = self._qp.solve()
         stacked = StackedQP(
-            P=structure.P,
-            q=q,
-            A=structure.A,
-            l=l,
-            u=u,
-            indexer=structure.indexer,
-            constant_cost=0.0,
-            demand_row_offset=structure.demand_row_offset,
-            capacity_row_offset=structure.capacity_row_offset,
-            nonneg_row_offset=structure.nonneg_row_offset,
+            P=structure.P, q=q, A=structure.A, l=l, u=u, blocks=structure.blocks
         )
         return stacked, qp_solution
 
@@ -299,7 +299,7 @@ def solve_dspp(
             f"dual residual {qp_solution.dual_residual:.2e})"
         )
 
-    states, controls, slack = stacked.indexer.unstack(qp_solution.x)
+    states, controls, slack = stacked.blocks.unstack(qp_solution.x)
     # ADMM feasibility is approximate; tiny negative allocations are noise.
     states = np.maximum(states, 0.0)
     slack = np.maximum(slack, 0.0)

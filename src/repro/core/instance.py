@@ -119,9 +119,9 @@ class DSPPInstance:
         """Boolean mask of SLA-feasible pairs, shape ``(L, V)``, read-only.
 
         ``usable_pairs[l, v]`` is True exactly where ``a_lv`` is finite —
-        equivalently where :attr:`demand_coefficients` is nonzero.  The
-        column sparsification of :func:`repro.core.matrices.build_qp_structure`
-        prunes the variables of unusable pairs; the mask is memoized here
+        equivalently where :attr:`demand_coefficients` is nonzero.  A pruned
+        layout of :func:`repro.core.matrices.build_qp_structure` drops the
+        variables of unusable pairs; the mask is memoized here
         (and propagated to derived copies) so structure fingerprinting
         never re-scans the SLA matrix.
         """

@@ -7,7 +7,8 @@ states the best Nash equilibrium attains exactly this optimum (PoS = 1).
 
 The joint problem is assembled as one sparse QP: per-provider blocks built
 by :func:`repro.core.matrices.build_stacked_qp` (with their private
-capacity rows disabled), glued with coupled capacity rows.
+capacity rows disabled), glued with coupled capacity rows made of the
+providers' capacity rows side by side.
 """
 
 from __future__ import annotations
@@ -103,20 +104,10 @@ def solve_swp(
     l_private = np.concatenate([b.l for b in blocks])
     u_private = np.concatenate([b.u for b in blocks])
 
-    # Coupled capacity rows: sum_i s^i * sum_v x^i_t[l, v] <= C_l.
-    offsets = np.concatenate([[0], np.cumsum([b.q.size for b in blocks])])
-    n_total = int(offsets[-1])
-    coupling = sp.lil_matrix((T * L, n_total))
-    for i, (provider, block) in enumerate(zip(providers, blocks)):
-        indexer = block.indexer
-        V = indexer.num_locations
-        size = provider.instance.server_size
-        for t in range(T):
-            for l in range(L):
-                row = t * L + l
-                start = offsets[i] + indexer.x_index(t, l, 0)
-                coupling[row, start : start + V] = size
-    A = sp.vstack([A_private, coupling.tocsc()], format="csc")
+    # Coupled capacity rows: sum_i s^i * sum_v x^i_t[l, v] <= C_l, i.e.
+    # every provider's own capacity rows side by side.
+    coupling = sp.hstack([b.A[b.blocks.capacity_rows()] for b in blocks], format="csc")
+    A = sp.vstack([A_private, coupling], format="csc")
     l_vec = np.concatenate([l_private, np.full(T * L, -np.inf)])
     u_vec = np.concatenate([u_private, np.tile(capacity, T)])
 
@@ -131,9 +122,10 @@ def solve_swp(
     trajectories: list[Trajectory] = []
     provider_costs = np.empty(len(providers))
     total_shortfall = 0.0
+    offsets = np.cumsum([0] + [b.q.size for b in blocks])
     for i, (provider, block) in enumerate(zip(providers, blocks)):
         z = qp.x[offsets[i] : offsets[i + 1]]
-        states, controls, slack = block.indexer.unstack(z)
+        states, controls, slack = block.blocks.unstack(z)
         states = np.maximum(states, 0.0)
         prev = np.concatenate(
             [provider.instance.initial_state[None], states[:-1]], axis=0

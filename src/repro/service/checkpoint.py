@@ -94,7 +94,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"DSPPCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 BASE_NAME = "base.bin"
 JOURNAL_NAME = "journal.bin"
 

@@ -66,10 +66,10 @@ emitted by :func:`~repro.core.matrices.build_qp_structure` (the scaled
 ADMM system additionally uses the cached Ruiz diagonals).
 
 Both solvers work in *pair coordinates*: the per-period block width is
-``view.pairs_per_step``, which under column sparsification (structures
-built with ``sparsify=True``) is the number of SLA-usable pairs rather
-than ``L * V``.  A location's or a data center's pairs are summed with
-one ``np.bincount`` over precomputed bins (:func:`_period_bins`), and
+``view.pairs_per_step``, the number of pairs the view's mask keeps (the
+SLA-usable pairs in a pruned layout, ``L * V`` on the full mask).  A
+location's or a data center's pairs are summed with one ``np.bincount``
+over precomputed bins (:func:`_period_bins`), and
 :class:`BandedKKTSolver` assembles its condensed blocks through
 precomputed coupling patterns (pairs sharing a location / a data
 center).
@@ -318,8 +318,7 @@ class BandedKKTSolver:
         T = view.num_steps
         L = view.num_datacenters
         V = view.num_locations
-        LV = view.pairs_per_step  # reduced width under sparsification
-        half = view.num_x
+        LV = view.pairs_per_step
         elastic = view.elastic
 
         self._view = view
@@ -331,24 +330,23 @@ class BandedKKTSolver:
         self._lv = LV
         self._elastic = elastic
 
-        # Pair coordinates: valid for both the dense and reduced layouts.
         pair_loc = view.pair_location
         pair_dc = view.pair_datacenter
         coeff_p = view.active_demand_coeff
         self._bin_loc = _view_tables(view).bin_loc
 
         # Family-major reshapes of the diagonal scalings.
-        d_x = d[:half].reshape(T, LV)
-        d_u = d[half : 2 * half].reshape(T, LV)
-        e_dyn = e[:half].reshape(T, LV)
-        e_dem = e[view.demand_row_offset : view.capacity_row_offset].reshape(T, V)
-        e_cap = e[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L)
-        e_non = e[view.nonneg_row_offset : view.nonneg_row_offset + half].reshape(T, LV)
+        d_x = d[view.x_slice()].reshape(T, LV)
+        d_u = d[view.u_slice()].reshape(T, LV)
+        e_dyn = e[view.dynamics_rows()].reshape(T, LV)
+        e_dem = e[view.demand_rows()].reshape(T, V)
+        e_cap = e[view.capacity_rows()].reshape(T, L)
+        e_non = e[view.nonneg_rows()].reshape(T, LV)
         r = self._rho_vec
-        r_dyn = r[:half].reshape(T, LV)
-        r_dem = r[view.demand_row_offset : view.capacity_row_offset].reshape(T, V)
-        r_cap = r[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L)
-        r_non = r[view.nonneg_row_offset : view.nonneg_row_offset + half].reshape(T, LV)
+        r_dyn = r[view.dynamics_rows()].reshape(T, LV)
+        r_dem = r[view.demand_rows()].reshape(T, V)
+        r_cap = r[view.capacity_rows()].reshape(T, L)
+        r_non = r[view.nonneg_rows()].reshape(T, LV)
         self._r_dem = r_dem
         self._r_cap = r_cap
 
@@ -362,12 +360,12 @@ class BandedKKTSolver:
         self._g_dem = g_dem
         self._g_cap = g_cap
         b_non = e_non * d_x
-        p_u = self._p_diag[half : 2 * half].reshape(T, LV)
+        p_u = self._p_diag[view.u_slice()].reshape(T, LV)
 
         if elastic:
-            d_w = d[2 * half :].reshape(T, V)
-            e_slk = e[view.slack_row_offset :].reshape(T, V)
-            r_slk = r[view.slack_row_offset :].reshape(T, V)
+            d_w = d[view.slack_slice()].reshape(T, V)
+            e_slk = e[view.slack_rows()].reshape(T, V)
+            r_slk = r[view.slack_rows()].reshape(T, V)
             g_dem_w = e_dem * d_w
             b_slk = e_slk * d_w
         else:
@@ -617,15 +615,12 @@ class BandedActiveSetSystem:
         T = view.num_steps
         L = view.num_datacenters
         V = view.num_locations
-        half = view.num_x
         active = active_lower | active_upper
-        self._act_dem = active[view.demand_row_offset : view.capacity_row_offset].reshape(T, V)
-        self._act_cap = active[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L)
-        self._pinned_x = active[
-            view.nonneg_row_offset : view.nonneg_row_offset + half
-        ].reshape(T, view.pairs_per_step)
+        self._act_dem = active[view.demand_rows()].reshape(T, V)
+        self._act_cap = active[view.capacity_rows()].reshape(T, L)
+        self._pinned_x = active[view.nonneg_rows()].reshape(T, view.pairs_per_step)
         if view.elastic:
-            self._pinned_w = active[view.slack_row_offset :].reshape(T, V)
+            self._pinned_w = active[view.slack_rows()].reshape(T, V)
             # Active demand rows containing a *free* slack fix the row's
             # multiplier (= the slack's stationarity), so the row leaves
             # the system; the remaining active demand rows are kept.
@@ -810,14 +805,10 @@ class BandedActiveSetSystem:
         view = self._view
         T = view.num_steps
         V = view.num_locations
-        P = view.pairs_per_step
-        half = view.num_x
         ch = view.control_hessian
         coeff = view.active_demand_coeff
         s = view.server_size
-        s1_x = rhs1[:half].reshape(T, P)
-        s1_u = rhs1[half : 2 * half].reshape(T, P)
-        s1_w = rhs1[2 * half :].reshape(T, V) if view.elastic else np.zeros((T, 0))
+        s1_x, s1_u, s1_w = self._column_families(rhs1)
 
         xbar = np.where(self._pinned_x, b_non, 0.0)
         if view.elastic:
@@ -953,9 +944,9 @@ class BandedActiveSetSystem:
     def _column_families(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Family-major views ``(x, u, w)`` of an ``n``-vector."""
         view = self._view
-        T, P, half = view.num_steps, view.pairs_per_step, view.num_x
-        w = z[2 * half :].reshape(T, view.num_locations) if view.elastic else np.zeros((T, 0))
-        return z[:half].reshape(T, P), z[half : 2 * half].reshape(T, P), w
+        T, P, V = view.num_steps, view.pairs_per_step, view.num_locations
+        w = z[view.slack_slice()].reshape(T, V) if view.elastic else np.zeros((T, 0))
+        return z[view.x_slice()].reshape(T, P), z[view.u_slice()].reshape(T, P), w
 
     def _row_families(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Family-major views ``(dynamics, demand, capacity, nonnegativity,
@@ -963,12 +954,12 @@ class BandedActiveSetSystem:
         view = self._view
         T, P = view.num_steps, view.pairs_per_step
         V, L = view.num_locations, view.num_datacenters
-        slack = rows[view.slack_row_offset :].reshape(T, V) if view.elastic else np.zeros((T, 0))
+        slack = rows[view.slack_rows()].reshape(T, V) if view.elastic else np.zeros((T, 0))
         return (
-            rows[: view.num_x].reshape(T, P),
-            rows[view.demand_row_offset : view.capacity_row_offset].reshape(T, V),
-            rows[view.capacity_row_offset : view.nonneg_row_offset].reshape(T, L),
-            rows[view.nonneg_row_offset : view.slack_row_offset].reshape(T, P),
+            rows[view.dynamics_rows()].reshape(T, P),
+            rows[view.demand_rows()].reshape(T, V),
+            rows[view.capacity_rows()].reshape(T, L),
+            rows[view.nonneg_rows()].reshape(T, P),
             slack,
         )
 
@@ -1010,7 +1001,7 @@ def build_banded_active_set_system(
     if not np.any(active):
         return None
     # Dynamics rows are equalities: all must be active.
-    if not np.all(active[: view.num_x]):
+    if not np.all(active[view.dynamics_rows()]):
         return None
     system = BandedActiveSetSystem(view, active_lower, active_upper)
     if view.elastic and np.any(~system._pinned_w & ~system._act_dem):

@@ -218,31 +218,15 @@ class QPSettings:
     re-solves against the new data before running any ADMM.  Turning it
     off keeps only the crossover after a converged ADMM pass.
 
-    ``sparsify_columns`` controls SLA column pruning of the stacked
-    structure (see :func:`repro.core.matrices.build_qp_structure`):
-    ``"auto"`` (default) prunes the variables of SLA-unusable pairs
-    whenever that is exact — i.e. the initial state is zero at every
-    pruned pair — ``"on"`` demands pruning (raising if it would be
-    inexact) and ``"off"`` keeps the dense layout.  The flag is consumed
-    by the DSPP layer (:mod:`repro.core.dspp`); raw :func:`solve_qp`
-    calls receive whatever layout the caller assembled.
-
-    The KKT backend is not a setting: a workspace handed the per-period
-    block structure picks it by
+    Neither the KKT backend nor the stacked layout is a setting: a
+    workspace handed the per-period block structure picks the backend by
     :func:`~repro.solvers.banded.use_banded_backend` (see
-    :meth:`repro.solvers.workspace.QPWorkspace.setup`).
+    :meth:`repro.solvers.workspace.QPWorkspace.setup`), and the DSPP layer
+    picks the layout by :func:`repro.core.matrices.prunes_unusable_pairs`.
     """
 
     max_iterations: int = 20000
     early_polish: bool = True
-    sparsify_columns: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.sparsify_columns not in ("auto", "on", "off"):
-            raise ValueError(
-                f"sparsify_columns must be 'auto', 'on' or 'off', "
-                f"got {self.sparsify_columns!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -341,7 +325,7 @@ def _ruiz_equilibrate(problem: QPProblem) -> tuple[QPProblem, _Scaling]:
     ``reduceat`` pass per norm family instead of three sparse
     matrix-matrix products.  The scaled ``P``/``A`` are built exactly once,
     at the end.  Rows or columns with *zero* norm (possible once column
-    sparsification leaves a data center with no usable pairs) keep a unit
+    pruning leaves a data center with no usable pairs) keep a unit
     scaling instead of the ``1/sqrt(clip)`` blow-up.
     """
     n, m = problem.num_variables, problem.num_constraints

@@ -16,7 +16,7 @@ event-driven simulator.  This package continuously cross-checks them:
   invariance, demand/price monotonicity, horizon-1 MPC ≡ myopic solve,
   routing optimality, ...) and the solve-path equivalences: one
   receding-horizon walk per row of its pair table (banded ≡ sparse KKT
-  backend, sparsified ≡ dense layout, persistent workspace ≡ cold solves).
+  backend, pruned ≡ full pair mask, persistent workspace ≡ cold solves).
 * :mod:`repro.verify.runner` — the fuzz campaign driver: a budgeted,
   seeded sweep over all registered checks with automatic shrinking of
   failures to the smallest reproducing tier.

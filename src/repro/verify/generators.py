@@ -127,13 +127,13 @@ def random_pruned_instance(
 ) -> DSPPInstance:
     """Draw an instance with a *controlled* SLA-unusable fraction.
 
-    Purpose-built for the column-sparsification differentials: the pruned
+    Purpose-built for the pruned-layout differentials: the pruned
     fraction sweeps the full 0–95% range and deliberately hits both edges
     of the reduced layout —
 
     * **all-usable** (~15% of draws, and always when ``L == 1``): the
-      usable-pair mask is full, so ``sparsify_columns="auto"`` resolves to
-      the dense path and the differential degenerates to identity;
+      usable-pair mask is full, so the layout rule keeps the full mask
+      and the differential degenerates to identity;
     * **one usable data center per location** (~15%): the maximum pruning
       an instance can carry while staying servable, leaving exactly ``V``
       columns per period;
@@ -142,8 +142,8 @@ def random_pruned_instance(
 
     The initial state is supported on usable pairs only (exact zeros at
     every pruned pair), which is the precondition for pruning to be exact
-    — :func:`~repro.core.matrices.resolve_sparsify` would otherwise
-    decline (or, under ``"on"``, raise).
+    — :func:`~repro.core.matrices.prunes_unusable_pairs` would otherwise
+    keep the full mask.
 
     This generator is *additive*: it must never be inlined into
     :func:`random_instance`, whose draw sequence is pinned by the

@@ -14,7 +14,7 @@ The registered properties:
                                       plain-ADMM solve on general QPs
                                       with equality rows
 ``config_equivalence/backend``        banded KKT backend ≡ sparse backend
-``config_equivalence/layout``         sparsified columns ≡ dense columns
+``config_equivalence/layout``         pruned pair mask ≡ full pair mask
 ``config_equivalence/warm``           persistent workspace ≡ cold solves,
                                       each pair along one receding-horizon
                                       walk (:data:`EQUIVALENCE_PAIRS`)
@@ -262,29 +262,25 @@ class _Pair(NamedTuple):
     :func:`random_pruned_instance`, the rest from :func:`random_instance`.
     ``banded`` forces the KKT backend of the reference and candidate
     workspaces (``None``: the ``use_banded_backend`` rule), because the
-    rule sends every tier's draws to the sparse backend.
+    rule sends every tier's draws to the sparse backend.  ``full_mask``
+    forces the full pair mask on a side (``False``: the
+    ``prunes_unusable_pairs`` rule).
     """
 
-    reference: QPSettings
-    candidate: QPSettings
     reference_persists: bool
     pruned_share: float
     banded: tuple[bool | None, bool | None] = (None, None)
+    full_mask: tuple[bool, bool] = (False, False)
 
 
 # The paths Algorithm 1 may take to the same horizon QP.  A new path
 # equivalence is a new row here, not a new check.  The layout pair draws
-# only pruned instances: random_instance may leave state at SLA-unusable
-# pairs, where sparsify_columns="on" refuses to prune.
+# only pruned instances, whose state is zero at every SLA-unusable pair,
+# so the rule prunes the candidate side at every solve of the walk.
 EQUIVALENCE_PAIRS: dict[str, _Pair] = {
-    "backend": _Pair(QPSettings(), QPSettings(), True, 0.4, (False, True)),
-    "layout": _Pair(
-        QPSettings(sparsify_columns="off"),
-        QPSettings(sparsify_columns="on"),
-        True,
-        1.0,
-    ),
-    "warm": _Pair(QPSettings(), QPSettings(), False, 0.4),
+    "backend": _Pair(True, 0.4, banded=(False, True)),
+    "layout": _Pair(True, 1.0, full_mask=(True, False)),
+    "warm": _Pair(False, 0.4),
 }
 
 
@@ -344,7 +340,7 @@ def _compare_sides(
         findings.append(Discrepancy(label, message, float(mismatched)))
     # On the same layout and solve path every row lines up, and the two
     # sides must certify the same active set.
-    same_layout = pair.reference.sparsify_columns == pair.candidate.sparsify_columns
+    same_layout = pair.full_mask[0] == pair.full_mask[1]
     if pair.reference_persists and same_layout:
         mismatched = _dual_mismatches(ref_qp.y, cand_qp.y, True)
         if mismatched:
@@ -353,7 +349,7 @@ def _compare_sides(
     # Pruned pairs are pinned, not solved: the scatter-back writes literal
     # zeros, and anything else would stop the next period's pruning.
     usable = instance.usable_pairs
-    if pair.candidate.sparsify_columns == "on" and not usable.all():
+    if not same_layout and not usable.all():
         leaked = int(np.count_nonzero(states[:, ~usable]))
         if leaked:
             message = f"{leaked} pruned-pair state entries are not exact zeros"
@@ -384,27 +380,26 @@ def prop_config_equivalence(
         pruned=bool(rng.random() < config.pruned_share),
     )
     penalty = float(rng.uniform(5.0, 50.0)) if rng.random() < 0.3 else None
-    reference_banded, candidate_banded = config.banded
-    reference_workspace = (
-        DSPPWorkspace(_banded=reference_banded) if config.reference_persists else None
-    )
-    sides = (
-        (config.reference, reference_workspace),
-        (config.candidate, DSPPWorkspace(_banded=candidate_banded)),
-    )
+    def workspace(side: int) -> DSPPWorkspace:
+        return DSPPWorkspace(_banded=config.banded[side], _full_mask=config.full_mask[side])
+
+    reference_workspace, candidate_workspace = workspace(0), workspace(1)
     findings: list[Discrepancy] = []
 
     def compare(label: str) -> DSPPSolution:
+        sides = (
+            reference_workspace if config.reference_persists else workspace(0),
+            candidate_workspace,
+        )
         reference, candidate = [
             solve_dspp(
                 instance,
                 demand,
                 prices,
-                settings=settings,
                 demand_slack_penalty=penalty,
-                workspace=workspace,
+                workspace=side,
             )
-            for settings, workspace in sides
+            for side in sides
         ]
         label = f"config_equivalence/{pair}/{label}"
         findings.extend(_compare_sides(label, config, instance, reference, candidate))
@@ -432,17 +427,7 @@ def prop_config_equivalence(
 def prop_dspp_reference(rng: np.random.Generator, tier: ScaleTier) -> list[Discrepancy]:
     """Stacked DSPP solve vs trust-constr, plus a trajectory feasibility audit."""
     instance, demand, prices = _draw_problem(rng, tier, load=float(rng.uniform(0.3, 0.95)))
-    # Sparsification is pinned off so the solved QP has the same variable
-    # layout as the un-pruned stacked reference built below (the default
-    # "auto" mode prunes columns on low-density draws, and the reference
-    # warm start x0 would then mismatch P).  Pruned-vs-dense equivalence
-    # has its own gate: config_equivalence/layout.
-    solution = solve_dspp(
-        instance,
-        demand,
-        prices,
-        settings=QPSettings(sparsify_columns="off"),
-    )
+    solution = solve_dspp(instance, demand, prices)
     stacked = build_stacked_qp(instance, demand, prices)
     problem = QPProblem.build(stacked.P, stacked.q, stacked.A, stacked.l, stacked.u)
     findings = check_qp_against_reference(

@@ -106,7 +106,7 @@ class TestFileFormat:
     def test_magic_constant_is_stable(self):
         # Part of the on-disk contract documented in docs/OPERATIONS.md.
         assert CHECKPOINT_MAGIC == b"DSPPCKPT"
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
 
 
 class TestGenerations:
@@ -276,7 +276,7 @@ class TestJournal:
         with pytest.raises(CheckpointNotFoundError, match="journal.bin record 0"):
             PlacementService.restore(crash_dir)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_v1_directory_fails_loudly(self, tmp_path, version):
         """(c) an older-version directory is an operator problem: no fallback."""
         payload = pickle.dumps({"period": 3}, protocol=4)

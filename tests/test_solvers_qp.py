@@ -81,7 +81,6 @@ class TestQPSettings:
         assert [f.name for f in dataclasses.fields(QPSettings)] == [
             "max_iterations",
             "early_polish",
-            "sparsify_columns",
         ]
 
 

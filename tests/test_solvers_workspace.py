@@ -470,21 +470,21 @@ def _pruned_instance(capacity):
     )
 
 
-@pytest.mark.parametrize("sparsify", [False, True], ids=["dense", "reduced"])
+@pytest.mark.parametrize("pruned", [False, True], ids=["dense", "reduced"])
 @pytest.mark.parametrize("elastic", [False, True], ids=["inelastic", "elastic"])
 @pytest.mark.parametrize("capacity", [1e5, 5.0], ids=["loose", "tight"])
 class TestBandedActiveSetSystem:
     """The banded active-set system solves the same saddle system as the
     sparse one, on the optimal working set of a converged solve."""
 
-    def test_matches_sparse_active_set_system(self, sparsify, elastic, capacity):
+    def test_matches_sparse_active_set_system(self, pruned, elastic, capacity):
         horizon = 5
         instance = _pruned_instance(capacity)
         rng = np.random.default_rng(1)
         demand = rng.uniform(5.0, 15.0, size=(instance.num_locations, horizon))
         prices = rng.uniform(0.5, 2.0, size=(instance.num_datacenters, horizon))
         structure = build_qp_structure(
-            instance, horizon, elastic=elastic, sparsify=sparsify
+            instance, horizon, elastic=elastic, pruned=pruned
         )
         q, l, u = build_qp_vectors(
             structure, instance, demand, prices,
@@ -665,16 +665,16 @@ class TestHorizonTailCarry:
             ), f"T={horizon}"
 
     @pytest.mark.parametrize("elastic", [False, True])
-    @pytest.mark.parametrize("sparsify", [False, True])
-    def test_shift_indices_restrict_to_the_shorter_structure(self, elastic, sparsify):
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_shift_indices_restrict_to_the_shorter_structure(self, elastic, pruned):
         rng = np.random.default_rng(3)
         instance = random_instance(rng, TIERS["medium"])
-        if sparsify:
+        if pruned:
             sla = instance.sla_coefficients.copy()
             sla[0, 0] = np.inf
             instance = replace(instance, sla_coefficients=sla)
-        long = build_qp_structure(instance, 4, elastic=elastic, sparsify=sparsify)
-        short = build_qp_structure(instance, 3, elastic=elastic, sparsify=sparsify)
+        long = build_qp_structure(instance, 4, elastic=elastic, pruned=pruned)
+        short = build_qp_structure(instance, 3, elastic=elastic, pruned=pruned)
         columns, rows = long.blocks.shift_indices()
         assert (short.A != long.A[rows][:, columns]).nnz == 0
         assert (short.P != long.P[columns][:, columns]).nnz == 0

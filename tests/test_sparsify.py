@@ -1,9 +1,9 @@
-"""Column sparsification and its supporting caches.
+"""The pruned layout, its rule and its supporting caches.
 
 Covers the contract surface the differentials cannot see directly:
 memoization identity on :class:`~repro.core.instance.DSPPInstance`,
-fingerprint separation between the dense and reduced layouts, the
-``sparsify_columns="on"`` exactness guard, exact zeros in the unstacked
+fingerprint separation between the full and pruned masks, the layout
+rule switching as the state changes, exact zeros in the unstacked
 trajectory on both KKT backends, and the equilibration reuse counter.
 """
 
@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.dspp import DSPPWorkspace, solve_dspp
 from repro.core.instance import DSPPInstance
-from repro.core.matrices import resolve_sparsify, structure_fingerprint
-from repro.solvers.qp import QPSettings
+from repro.core.matrices import prunes_unusable_pairs, structure_fingerprint
 
 
 @pytest.fixture
@@ -74,34 +73,34 @@ class TestInstanceMemoization:
 
 class TestFingerprintAndResolve:
     def test_fingerprint_separates_layouts(self, pruned_instance):
-        dense = structure_fingerprint(pruned_instance, 3, False, sparsify=False)
-        reduced = structure_fingerprint(pruned_instance, 3, False, sparsify=True)
+        dense = structure_fingerprint(pruned_instance, 3, False, pruned=False)
+        reduced = structure_fingerprint(pruned_instance, 3, False, pruned=True)
         assert dense != reduced
 
-    def test_resolve_modes(self, pruned_instance, small_instance):
-        assert resolve_sparsify(pruned_instance, "auto") is True
-        assert resolve_sparsify(pruned_instance, "on") is True
-        assert resolve_sparsify(pruned_instance, "off") is False
-        # All pairs usable: nothing to prune, even when forced on.
-        assert resolve_sparsify(small_instance, "auto") is False
-        assert resolve_sparsify(small_instance, "on") is False
-
-    def test_on_rejects_nonzero_pruned_state(self, pruned_instance):
-        bad_state = pruned_instance.initial_state.copy()
-        bad_state[~pruned_instance.usable_pairs] = 0.25
-        bad = pruned_instance.with_initial_state(bad_state)
-        with pytest.raises(ValueError, match="sparsify"):
-            resolve_sparsify(bad, "on")
-        # "auto" declines silently instead of raising.
-        assert resolve_sparsify(bad, "auto") is False
-
-    def test_solve_surfaces_the_guard(self, pruned_instance, rng):
-        bad_state = pruned_instance.initial_state.copy()
-        bad_state[~pruned_instance.usable_pairs] = 0.25
-        bad = pruned_instance.with_initial_state(bad_state)
-        demand, prices = _forecasts(bad, 3, rng)
-        with pytest.raises(ValueError, match="sparsify"):
-            solve_dspp(bad, demand, prices, settings=QPSettings(sparsify_columns="on"))
+    def test_layout_follows_the_state_across_solves(self, pruned_instance, rng):
+        """State at an unusable pair keeps the full mask; once it is zero,
+        the next solve sets up again on the pruned mask.  Both match a
+        workspace forced onto the full mask."""
+        usable = pruned_instance.usable_pairs
+        held = pruned_instance.initial_state.copy()
+        held[0, 1] = 0.25  # an SLA-unusable pair
+        instance = pruned_instance.with_initial_state(held)
+        assert not prunes_unusable_pairs(instance)
+        workspace, reference = DSPPWorkspace(), DSPPWorkspace(_full_mask=True)
+        layouts = []
+        for step in range(2):
+            demand, prices = _forecasts(instance, 3, rng)
+            solution = solve_dspp(instance, demand, prices, workspace=workspace)
+            full = solve_dspp(instance, demand, prices, workspace=reference)
+            assert solution.objective == pytest.approx(full.objective, rel=1e-9, abs=1e-9)
+            layouts.append(workspace._structure.blocks.pairs_per_step)
+            advanced = np.where(usable, solution.trajectory.states[0], 0.0)
+            instance = instance.with_initial_state(advanced)
+            if step == 0:
+                assert prunes_unusable_pairs(instance)
+        assert layouts == [12, int(usable.sum())]
+        assert workspace.num_setups == 2
+        assert reference.num_setups == 1
 
 
 @pytest.mark.parametrize("backend", ["sparse", "banded"])
@@ -112,7 +111,6 @@ class TestSparsifiedSolutions:
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(sparsify_columns="on"),
             workspace=DSPPWorkspace(_banded=backend == "banded"),
         )
         unusable = ~pruned_instance.usable_pairs
@@ -125,14 +123,12 @@ class TestSparsifiedSolutions:
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(sparsify_columns="off"),
-            workspace=DSPPWorkspace(_banded=backend == "banded"),
+            workspace=DSPPWorkspace(_banded=backend == "banded", _full_mask=True),
         )
         reduced = solve_dspp(
             pruned_instance,
             demand,
             prices,
-            settings=QPSettings(sparsify_columns="on"),
             workspace=DSPPWorkspace(_banded=backend == "banded"),
         )
         assert reduced.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
